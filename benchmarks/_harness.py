@@ -8,9 +8,11 @@ a plain ``pytest benchmarks/ --benchmark-only`` run.
 
 Alongside the human-readable text, :func:`emit_json` persists a
 machine-readable ``benchmarks/results/BENCH_<name>.json`` per experiment —
-metrics, regression bars with their verdicts, and an overall pass flag.
-The payload is deliberately timestamp-free so reruns on unchanged code
-produce byte-identical files (diffable in CI artifacts).
+metrics, regression bars with their verdicts, an overall pass flag, and
+the scale the numbers were measured at (``scale``, ``smoke``,
+``cpu_count``).  The payload is deliberately timestamp-free so reruns on
+unchanged code on the same machine produce byte-identical files (diffable
+in CI artifacts).
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from repro.analysis.figures import Figure
 from repro.analysis.tables import Table
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+
+#: ``REPRO_BENCH_SMOKE=1`` selects every benchmark's tiny CI parameters.
+SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
 def emit(experiment_id: str, rendered: Union[str, Table, Figure]) -> str:
@@ -82,28 +87,45 @@ def figure_metrics(figure: Figure) -> Dict[str, Any]:
     }
 
 
-def bar(value: Any, limit: Any, ok: bool) -> Dict[str, Any]:
-    """One regression bar: the measured value, its bound, and the verdict."""
-    return {"value": _jsonable(value), "limit": _jsonable(limit), "ok": bool(ok)}
+def bar(value: Any, limit: Any, ok: bool, enforced: bool = True) -> Dict[str, Any]:
+    """One regression bar: the measured value, its bound, and the verdict.
+
+    The verdict is ``pass`` or ``fail`` for an enforced bar and
+    ``recorded`` otherwise; ``ok`` is true only for ``pass``, so a
+    recorded bar never reads as met whatever its value.
+    """
+    verdict = ("pass" if ok else "fail") if enforced else "recorded"
+    return {
+        "value": _jsonable(value),
+        "limit": _jsonable(limit),
+        "verdict": verdict,
+        "ok": verdict == "pass",
+    }
 
 
 def emit_json(
     name: str,
     metrics: Dict[str, Any],
     bars: Optional[Dict[str, Dict[str, Any]]] = None,
+    scale: Optional[str] = None,
 ) -> bool:
     """Persist ``benchmarks/results/BENCH_<name>.json`` and return pass/fail.
 
     ``metrics`` holds the experiment's measurements (typically
     :func:`table_metrics`); ``bars`` maps bar names to :func:`bar` entries.
-    The overall ``passed`` flag is the conjunction of every bar's verdict
-    (vacuously true without bars).  No timestamps or host details are
-    recorded, so the file is stable across reruns of unchanged code.
+    The overall ``passed`` flag is true when no enforced bar fails;
+    ``recorded`` bars are left out of it.  ``scale`` describes the workload
+    size the numbers come from (default ``"smoke"`` or ``"full"``); the
+    smoke flag and the machine's CPU count are recorded beside it so no
+    committed result comes from an unlabeled scale.
     """
     bars = bars or {}
-    passed = all(bool(entry.get("ok", True)) for entry in bars.values())
+    passed = all(entry["verdict"] != "fail" for entry in bars.values())
     payload = {
         "name": name,
+        "scale": scale if scale is not None else ("smoke" if SMOKE else "full"),
+        "smoke": SMOKE,
+        "cpu_count": os.cpu_count(),
         "metrics": _jsonable(metrics),
         "bars": _jsonable(bars),
         "passed": passed,

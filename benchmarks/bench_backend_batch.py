@@ -20,11 +20,10 @@ per subject per tick; the acceptance bar for the refactor is >= 3x.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.trust.backend import (
@@ -37,7 +36,6 @@ from repro.trust.beta import BetaTrustModel
 from repro.trust.complaint import ComplaintTrustModel, LocalComplaintStore
 from repro.trust.decay import ExponentialDecay
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 NUM_OBSERVATIONS = 2_000 if SMOKE else 10_000
 NUM_SUBJECTS = 50 if SMOKE else 200
 NUM_TICKS = 5 if SMOKE else 20

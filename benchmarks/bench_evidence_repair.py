@@ -26,15 +26,13 @@ lose evidence — otherwise the experiment proves nothing.
 
 from __future__ import annotations
 
-import os
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.marketplace.strategy import TrustAwareStrategy
 from repro.workloads import build_scenario
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SIZE = 10 if SMOKE else 20
 ROUNDS = 10 if SMOKE else 30
 LOSS = 0.2

@@ -1,20 +1,19 @@
-"""Million-peer fast path — memory-bounded backends under a flash crowd.
+"""Million-peer backend path — flat sharded backends under a flash crowd.
 
-The scaling story of the compact storage layer: a synthetic flash-crowd
-observation stream (every tick a new wave of never-seen peers arrives on
-top of a growing base) is ingested into compact, sharded, score-cached
-backends, with a full score sweep over a query sample after every tick and
-one *streaming* snapshot/restore mid-run — the four tentpole mechanisms
-(chunked compact arrays, dirty-row score caching, scatter/gather sharding,
-zero-copy snapshot streaming) exercised together at community sizes the
-dense float64 layout cannot reach.
+A synthetic flash-crowd observation stream (every tick a new wave of
+never-seen peers arrives on top of a growing base) is ingested into a
+sharded beta backend on the flat float64 layout, with a full score
+sweep over a query sample after every tick and one *streaming*
+snapshot/restore mid-run — amortised-doubling growth, dirty-row score
+caching, scatter/gather sharding and zero-copy snapshot streaming
+exercised together at large community sizes.
 
 Scales:
 
 * **CI / default (also the smoke pass)** — 100k peers; regression bars on
   per-tick wall clock, tracemalloc peak, and streaming-restore fidelity
   are enforced.  The 100k scale IS the smoke scale: the whole drive takes
-  seconds, and shrinking it further would stop exercising chunked growth.
+  seconds, and shrinking it further would stop exercising table growth.
 * **million** (``REPRO_BENCH_MILLION=1``) — 1,000,000 peers, opt-in; the
   bar is completion within generous wall-clock/memory envelopes.
 
@@ -68,7 +67,7 @@ def _tick_pool_size(tick: int) -> int:
 
     Half the community exists up front; the other half arrives in equal
     flash-crowd waves, so every tick both updates known rows (cache
-    invalidation) and interns never-seen peers (chunked growth).
+    invalidation) and interns never-seen peers (table growth).
     """
     base = NUM_PEERS // 2
     wave = (NUM_PEERS - base) // NUM_TICKS
@@ -96,9 +95,7 @@ def _query_sample(rng: np.random.Generator, tick: int):
 
 
 def _build_backend():
-    return create_backend(
-        "beta", shards=SHARDS, router="ring", compact=True, cache_scores=True
-    )
+    return create_backend("beta", shards=SHARDS)
 
 
 def _drive(record_memory: bool):
@@ -177,7 +174,7 @@ def build_table() -> Table:
         columns=["metric", "value"],
         title=(
             f"Million-peer fast path: {NUM_PEERS} peers, {NUM_TICKS} ticks x "
-            f"{OBS_PER_TICK} observations, {SHARDS} compact shards"
+            f"{OBS_PER_TICK} observations, {SHARDS} shards"
         ),
     )
     table.add_row("peers interned", timed["rows"])
@@ -221,10 +218,11 @@ def test_million_peer_flash_crowd(benchmark):
                 timed["rows"], NUM_PEERS, timed["rows"] <= NUM_PEERS
             ),
         },
+        scale=f"{NUM_PEERS} peers, {NUM_TICKS} ticks",
     )
     # Per-tick latency must stay flat enough for the simulation loop.
     assert max_tick < MAX_TICK_SECONDS
-    # The compact layout's Python-level footprint is the point of the PR.
+    # The Python-level footprint must stay bounded at community scale.
     assert traced["peak_mb"] < MAX_TRACEMALLOC_MB
     # A mid-run streaming checkpoint must be invisible to scores.
     assert timed["restore_identical"]

@@ -19,24 +19,26 @@ Two acceptance bars (enforced in CI via ``make bench-smoke``):
   rebalancing must be a background maintenance cost, not a second
   workload.
 
-The run starts from a deliberately lopsided layout (a consistent-hash ring
-with one point per shard — the classic single-vnode skew) so the policy
-has real imbalance to repair, exactly the situation a static ``hash``
-router could never escape.
+The run starts from a deliberately lopsided layout (key intervals of 1/2,
+1/4, 1/8 and 1/8 of the key space) so the policy has real imbalance to
+repair, exactly the situation a frozen layout could never escape.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
-from repro.trust import RebalancePolicy, ShardedBackend, TrustObservation
+from repro.trust import (
+    RebalancePolicy,
+    ShardedBackend,
+    ShardRouter,
+    TrustObservation,
+)
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 INITIAL_PEERS = 600 if SMOKE else 2_000
 ARRIVALS_PER_TICK = 300 if SMOKE else 1_000
 NUM_TICKS = 8 if SMOKE else 12
@@ -45,6 +47,8 @@ NUM_TICKS = 8 if SMOKE else 12
 OBSERVATIONS_PER_TICK = 4_000 if SMOKE else 8_000
 QUERIES_PER_TICK = 1_000 if SMOKE else 2_000
 INITIAL_SHARDS = 4
+#: Interval starts of the lopsided initial layout (widths 1/2, 1/4, 1/8, 1/8).
+LOPSIDED_STARTS = (0, 1 << 31, 3 << 30, 7 << 29)
 SEED = 31
 
 #: Policy under test: skew-triggered splits, generous shard headroom.
@@ -87,7 +91,9 @@ def _drive(rebalance: bool, ticks):
     backend = ShardedBackend(
         "beta",
         INITIAL_SHARDS,
-        router="ring",
+        router=ShardRouter(
+            INITIAL_SHARDS, state=[LOPSIDED_STARTS, range(INITIAL_SHARDS)]
+        ),
         rebalance=POLICY if rebalance else None,
     )
     start = time.perf_counter()
@@ -123,7 +129,7 @@ def build_table() -> Table:
         title=(
             f"Live shard rebalancing on a flash-crowd stream: "
             f"{INITIAL_PEERS}+{ARRIVALS_PER_TICK}/tick peers, "
-            f"{NUM_TICKS} ticks, ring router from {INITIAL_SHARDS} shards"
+            f"{NUM_TICKS} ticks, from {INITIAL_SHARDS} lopsided shards"
         ),
     )
     results = {}

@@ -25,17 +25,15 @@ Two numbers matter:
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.trust.backend import TrustObservation, create_backend
 from repro.trust.sharding import ShardedBackend
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 NUM_PEERS = 2_000 if SMOKE else 10_000
 NUM_OBSERVATIONS = 10_000 if SMOKE else 50_000
 NUM_TICKS = 5 if SMOKE else 10

@@ -23,16 +23,14 @@ enforced at both scales; the measured fraction lands in
 
 from __future__ import annotations
 
-import os
 import time
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.registry import build_registered_scenario
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 if SMOKE:
     SIZE = 24

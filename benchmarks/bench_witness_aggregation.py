@@ -20,13 +20,12 @@ The acceptance bar for the evidence-plane refactor is >= 5x.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
 import numpy as np
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.trust.backend import (
@@ -35,7 +34,6 @@ from repro.trust.backend import (
     TrustObservation,
 )
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 NUM_SUBJECTS = 40 if SMOKE else 200
 NUM_WITNESSES = 10 if SMOKE else 50
 NUM_SWEEPS = 3 if SMOKE else 20

@@ -32,12 +32,11 @@ import time
 
 import numpy as np
 
-from _harness import bar, emit, emit_json, run_once, table_metrics
+from _harness import SMOKE, bar, emit, emit_json, run_once, table_metrics
 
 from repro.analysis.tables import Table
 from repro.trust.backend import TrustObservation, create_backend
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 if SMOKE:
     NUM_PEERS = 5_000
@@ -220,8 +219,8 @@ def test_worker_distribution(benchmark):
         table_metrics(table),
         bars={
             "update_query_speedup": bar(
-                round(speedup, 3), MIN_SPEEDUP,
-                speedup >= MIN_SPEEDUP if ENFORCE_SPEEDUP else True,
+                round(speedup, 3), MIN_SPEEDUP, speedup >= MIN_SPEEDUP,
+                enforced=ENFORCE_SPEEDUP,
             ),
             "scores_identical": bar(
                 table.meta["identical"], True, table.meta["identical"]
@@ -234,6 +233,7 @@ def test_worker_distribution(benchmark):
                 drill["identical"], True, drill["identical"]
             ),
         },
+        scale=f"{NUM_PEERS} peers, {NUM_TICKS} ticks, {WORKERS} workers",
     )
     # Score invisibility is non-negotiable at any scale.
     assert table.meta["identical"]

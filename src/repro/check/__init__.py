@@ -1,7 +1,7 @@
 """Contract-enforcing static analysis for the repro codebase.
 
 The ROADMAP states invariants that runtime tests only catch after the
-fact: sharded/worker/compact runs must stay bit-identical to the baseline
+fact: sharded and worker runs must stay bit-identical to the baseline
 (determinism), everything crossing a
 :class:`~repro.distributed.transport.ShardTransport` must survive a pickle
 round trip (wire-safety), and ``telemetry=off`` must stay architecturally
@@ -27,8 +27,8 @@ PERF001   N+1 lint — scalar backend/decision calls inside loops where a
           batched API exists
 EXC001    ``except Exception`` in worker/transport code must re-raise,
           forward the error, or carry a justified allow-marker
-DTYPE001  snapshot paths emit canonical flat float64/int64 (compact
-          float32/int32 layouts live in ``trust/storage.py`` only)
+DTYPE001  evidence and snapshot arrays stay canonical flat
+          float64/int64 (no narrow dtype literal anywhere)
 ========  =============================================================
 """
 

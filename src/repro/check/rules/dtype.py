@@ -1,22 +1,16 @@
-"""DTYPE001 — canonical float64/int64 outside the compact-storage module.
+"""DTYPE001 — canonical float64/int64 evidence everywhere.
 
-Snapshots are the interchange format of the whole system: compact and
-default layouts, different shard counts, in-process and worker-hosted
-backends all round-trip through the same canonical *flat float64/int64*
-manifest — that is what makes compact↔default and re-sharded restores
-exact.  The only module allowed to traffic in narrow dtypes is
-``trust/storage.py``, where the compact ``ChunkedArray`` layout lives
-and where widening back to canonical happens.  A ``float32`` literal
-anywhere else is either a snapshot path about to emit a non-canonical
-manifest or evidence math about to fork from the bit-identical baseline.
+Snapshots are the interchange format of the whole system: different shard
+counts, routers, and in-process and worker-hosted backends all round-trip
+through the same canonical *flat float64/int64* manifest — that is what
+makes re-sharded restores exact and sharded runs bit-identical to the
+unsharded baseline.  A ``float32`` literal anywhere in the package is
+either a snapshot path about to emit a non-canonical manifest or evidence
+math about to fork from that baseline.  There is no exempt module.
 
-Flagged outside ``repro.trust.storage``: ``np.float32`` / ``np.int32``
-(and 16-bit variants) attribute references, and ``dtype="float32"`` /
-``dtype="int32"`` string keywords.  The compact-layout *selection*
-branches in ``trust/backend.py`` (``np.float32 if compact else
-np.float64``) are the sanctioned exception and carry justified
-``# repro: allow(DTYPE001)`` markers — their snapshots still widen to
-canonical through the storage helpers.
+Flagged: ``np.float32`` / ``np.int32`` (and 16-bit / 8-bit variants)
+attribute references, and ``dtype="float32"`` / ``dtype="int32"`` string
+keywords.
 """
 
 from __future__ import annotations
@@ -34,12 +28,12 @@ _NARROW = frozenset({"float32", "int32", "float16", "int16", "int8", "uint8"})
 
 class CanonicalDtypeRule(Rule):
     rule_id = "DTYPE001"
-    summary = "narrow dtype literal outside trust/storage.py"
+    summary = "narrow dtype literal (evidence must stay float64/int64)"
 
     def applies_to(self, source: Source) -> bool:
         if not source.in_package("repro"):
             return False
-        return not source.in_package("repro.trust.storage", "repro.check")
+        return not source.in_package("repro.check")
 
     def check(self, source: Source) -> Iterator[Finding]:
         aliases = module_aliases(source.tree)
@@ -53,10 +47,10 @@ class CanonicalDtypeRule(Rule):
                     yield self.finding(
                         source,
                         node,
-                        "narrow dtype {}.{} outside trust/storage.py; "
-                        "snapshot/evidence paths must stay canonical flat "
-                        "float64/int64 (compact layouts live in the "
-                        "storage module)".format(base, node.attr),
+                        "narrow dtype {}.{}; snapshot/evidence paths must "
+                        "stay canonical flat float64/int64".format(
+                            base, node.attr
+                        ),
                     )
             elif isinstance(node, ast.Call):
                 for keyword in node.keywords:
@@ -68,8 +62,8 @@ class CanonicalDtypeRule(Rule):
                         yield self.finding(
                             source,
                             keyword.value,
-                            "narrow dtype={!r} outside trust/storage.py; "
-                            "emit canonical float64/int64 arrays".format(
+                            "narrow dtype={!r}; emit canonical "
+                            "float64/int64 arrays".format(
                                 keyword.value.value
                             ),
                         )

@@ -72,7 +72,7 @@ from repro.obs import (
 )
 from repro.reputation.manager import TrustMethod
 from repro.simulation.repair import REPAIR_POLICIES
-from repro.trust import ROUTER_NAMES, ShardedBackend
+from repro.trust import ShardedBackend
 from repro.workloads import (
     SCENARIO_NAMES,
     build_registered_scenario,
@@ -262,26 +262,22 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
                             help="witnesses polled per exchange (default: "
                             "the scenario's own setting)")
     run_parser.add_argument("--shards", type=int, default=1,
-                            help="partition every trust backend by peer-id "
-                            "range across N shards (1 = unsharded; results "
-                            "are identical for any N)")
-    run_parser.add_argument("--shard-router", choices=ROUTER_NAMES,
-                            default="hash",
-                            help="shard routing strategy: uniform hash, "
-                            "contiguous key ranges (P-Grid style) or a "
-                            "consistent-hash ring (hash-style assignment "
-                            "that can split)")
+                            help="partition the community's shared "
+                            "complaint store into N contiguous peer-id "
+                            "ranges (P-Grid style; 1 = unsharded; results "
+                            "are identical for any N; each peer's own "
+                            "trust backends are small private tables and "
+                            "are never sharded)")
     run_parser.add_argument("--rebalance", choices=("off", "auto"),
                             default=None,
-                            help="live shard rebalancing: 'auto' splits a "
-                            "hot shard in place (through the snapshot "
-                            "manifest) when it exceeds the skew threshold "
-                            "or outgrows its row capacity; needs a "
-                            "splittable router, so 'hash' is upgraded to "
-                            "'ring'; splits never change results (default: "
-                            "the scenario's own preference — flash-crowd "
-                            "and high-churn default to auto, everything "
-                            "else to off)")
+                            help="live rebalancing of the complaint store: "
+                            "'auto' splits a hot shard in place (through "
+                            "the snapshot manifest) when it exceeds the "
+                            "skew threshold or outgrows its row capacity; "
+                            "splits never change results (default: the "
+                            "scenario's own preference — flash-crowd and "
+                            "high-churn default to auto, everything else "
+                            "to off)")
     run_parser.add_argument("--rebalance-threshold", type=float, default=2.0,
                             help="skew factor over the ideal per-shard "
                             "share (rows / shard count) that triggers a "
@@ -289,15 +285,6 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument("--max-shards", type=int, default=16,
                             help="upper bound on the shard count an "
                             "auto-rebalanced backend may grow to")
-    run_parser.add_argument("--compact", action="store_true",
-                            help="memory-bounded trust storage for very "
-                            "large communities: chunked float32/int32 "
-                            "evidence arrays that grow without copying "
-                            "the whole table; beta-family scores stay "
-                            "within float32 tolerance of the default "
-                            "float64 layout (complaint counts are exact) "
-                            "and decisions on the registered scenarios "
-                            "are unchanged")
     run_parser.add_argument("--workers", type=int, default=0, metavar="N",
                             help="host the community's shared complaint "
                             "store in N shard-worker processes (one shard "
@@ -306,14 +293,6 @@ def _add_scenario_knobs(run_parser: argparse.ArgumentParser) -> None:
                             "queries run in parallel across cores; scores "
                             "are bit-identical to the in-process run "
                             "(0 = in-process, the default)")
-    run_parser.add_argument("--cache-scores", choices=("on", "off"),
-                            default="on",
-                            help="dirty-row score cache on every trust "
-                            "backend: cached rows are only recomputed "
-                            "after new evidence touches them (default "
-                            "on; 'off' recomputes every query — the "
-                            "reference configuration the cache is "
-                            "validated against)")
 
 
 def _default_price(bundle: GoodsBundle, price: Optional[float]) -> float:
@@ -345,32 +324,14 @@ def _command_plan(args: argparse.Namespace) -> int:
     return 0 if plan.agreed else 1
 
 
-def _rebalance_line(scenario, simulation) -> Optional[str]:
-    """Aggregate live-split activity across every sharded backend of a run."""
-    backends = []
-    seen = set()
-    candidates = [scenario.complaint_store]
-    # Departed churn peers' backends may have split before leaving; count
-    # them too or the summary undercounts exactly on the churn scenarios.
-    for peer in list(simulation.peers) + list(simulation.departed_peers):
-        candidates.extend(peer.reputation.backends.values())
-    for candidate in candidates:
-        if isinstance(candidate, ShardedBackend) and id(candidate) not in seen:
-            seen.add(id(candidate))
-            backends.append(candidate)
-    if not backends:
+def _rebalance_line(store) -> Optional[str]:
+    """Live-split activity of an auto-rebalanced complaint store."""
+    if not isinstance(store, ShardedBackend) or store.rebalance_policy is None:
         return None
-    splits = sum(len(backend.rebalance_events) for backend in backends)
-    pause = sum(backend.rebalance_seconds for backend in backends)
-    store = scenario.complaint_store
-    store_shards = (
-        f", store now {store.num_shards} shards"
-        if isinstance(store, ShardedBackend)
-        else ""
-    )
     return (
-        f"auto: {splits} live splits across {len(backends)} sharded "
-        f"backends{store_shards}, split pause {pause:.3f}s"
+        f"auto: {len(store.rebalance_events)} live splits across 1 sharded "
+        f"backend, store now {store.num_shards} shards, split pause "
+        f"{store.rebalance_seconds:.3f}s"
     )
 
 
@@ -380,14 +341,13 @@ def _print_result(
     result,
     store=None,
     repair: str = "off",
-    rebalance_line: Optional[str] = None,
     telemetry_lines: Optional[List[str]] = None,
 ) -> None:
     print(f"Scenario:          {scenario_name}")
     if store is not None:
         # One canonical config string from the store itself — the effective
-        # backend deployment (shards, router, rebalance, compact, caching,
-        # workers, recovery), not a re-derivation from CLI flags.
+        # backend deployment (shards, rebalance, workers,
+        # recovery), not a re-derivation from CLI flags.
         print(f"Backend:           {backend} (store: {store.describe_config()})")
     else:
         print(f"Backend:           {backend}")
@@ -399,6 +359,7 @@ def _print_result(
     print(f"Completion rate:   {result.completion_rate:.3f}")
     print(f"Honest welfare:    {result.honest_welfare():.1f}")
     print(f"Honest losses:     {result.honest_losses():.1f}")
+    rebalance_line = _rebalance_line(store)
     if rebalance_line is not None:
         print(f"Shard rebalance:   {rebalance_line}")
     counters = result.evidence_counters
@@ -476,11 +437,8 @@ def _build_scenario_from_args(
         retransmit_timeout=args.retransmit_timeout,
         witness_count=args.witnesses,
         shards=args.shards,
-        shard_router=args.shard_router,
         rebalance_threshold=args.rebalance_threshold,
         max_shards=args.max_shards,
-        compact=args.compact,
-        cache_scores=args.cache_scores == "on",
         workers=args.workers,
         telemetry=telemetry,
     )
@@ -518,17 +476,11 @@ def _command_run(args: argparse.Namespace) -> int:
     _print_result(
         # Report what actually ran: the registry may supply the backend
         # (partition-heal -> complaint, fluctuating-behaviour -> decay) and
-        # scenarios may upgrade the repair policy (partition-heal -> gossip)
-        # or the shard router (rebalance auto upgrades hash -> ring, which
-        # the built store's canonical config string reflects).
+        # the rebalance setting (flash-crowd, high-churn -> auto), and
+        # scenarios may upgrade the repair policy (partition-heal -> gossip).
         args.scenario, scenario.trust_method, result,
         store=store,
         repair=scenario.config.evidence_repair,
-        rebalance_line=(
-            _rebalance_line(scenario, simulation)
-            if scenario.config.rebalance == "auto"
-            else None
-        ),
         telemetry_lines=telemetry_lines,
     )
     if args.workers > 0 and hasattr(store, "close"):

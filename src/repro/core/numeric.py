@@ -61,9 +61,13 @@ def non_negative(value: float) -> float:
 
 
 def total(values: Iterable[float]) -> float:
-    """Sum ``values`` using :func:`math.fsum` semantics via built-in ``sum``.
+    """Sum ``values`` left to right with the built-in ``sum``, as a float.
 
-    A thin wrapper so that the summation strategy can be changed in one place
-    if numerically harder workloads ever require it.
+    Plain floating-point accumulation in iteration order, *not*
+    :func:`math.fsum`: rounding errors accumulate, and the result depends on
+    the order of ``values``.  A thin wrapper so that the summation strategy
+    can be changed in one place if numerically harder workloads ever require
+    it; any vectorized path that must match it bit for bit has to add in the
+    same order.
     """
     return float(sum(values))

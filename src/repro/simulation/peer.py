@@ -16,12 +16,7 @@ from repro.simulation.behaviors import (
     TruthfulWitness,
     WitnessReportPolicy,
 )
-from repro.trust import (
-    BetaBelief,
-    ComplaintStore,
-    RebalancePolicy,
-    stack_witness_beliefs,
-)
+from repro.trust import BetaBelief, ComplaintStore, stack_witness_beliefs
 
 __all__ = ["CommunityPeer"]
 
@@ -47,11 +42,6 @@ class CommunityPeer:
         consumes_goods: bool = True,
         trust_method: str = TrustMethod.BETA,
         witness_policy: Optional[WitnessReportPolicy] = None,
-        shards: int = 1,
-        shard_router: str = "hash",
-        rebalance: Optional["RebalancePolicy"] = None,
-        compact: bool = False,
-        cache_scores: bool = True,
     ):
         if not peer_id:
             raise SimulationError("peer_id must be non-empty")
@@ -64,13 +54,7 @@ class CommunityPeer:
         self.peer_id = peer_id
         self.behavior: BehaviorModel = behavior if behavior is not None else HonestBehavior()
         self.reputation = ReputationManager(
-            owner_id=peer_id,
-            complaint_store=complaint_store,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance,
-            compact=compact,
-            cache_scores=cache_scores,
+            owner_id=peer_id, complaint_store=complaint_store
         )
         self.defection_penalty = defection_penalty
         self.supplies_goods = supplies_goods

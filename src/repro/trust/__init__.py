@@ -50,16 +50,11 @@ from repro.trust.complaint import (
 )
 from repro.trust.decay import DecayModel, ExponentialDecay, NoDecay, SlidingWindowDecay
 from repro.trust.sharding import (
-    ROUTER_NAMES,
-    HashShardRouter,
-    RangeShardRouter,
     RebalanceEvent,
     RebalancePolicy,
-    RingShardRouter,
     ShardedBackend,
     ShardRouter,
     ShardSplitError,
-    create_router,
 )
 from repro.trust.evidence import (
     Complaint,
@@ -101,11 +96,6 @@ __all__ = [
     "backend_names",
     # sharding
     "ShardRouter",
-    "HashShardRouter",
-    "RangeShardRouter",
-    "RingShardRouter",
-    "ROUTER_NAMES",
-    "create_router",
     "RebalancePolicy",
     "RebalanceEvent",
     "ShardSplitError",

@@ -71,7 +71,6 @@ import numpy as np
 
 from repro.exceptions import TrustModelError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.trust import storage
 from repro.trust.aggregation import (
     SparseWitnessMatrix,
     WitnessReport,
@@ -83,14 +82,6 @@ from repro.trust.aggregation import (
 from repro.trust.beta import BetaBelief, BetaTrustModel
 from repro.trust.complaint import ComplaintStore, LocalComplaintStore
 from repro.trust.evidence import Complaint, Observation
-from repro.trust.storage import (
-    gather,
-    gather_f64,
-    materialize,
-    scatter_add,
-    scatter_max,
-    scatter_set,
-)
 
 __all__ = [
     "TrustObservation",
@@ -236,9 +227,25 @@ class _PeerIndex:
         return index
 
 
+def _grow(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` with capacity for at least ``size`` rows (amortised doubling).
+
+    New rows are zero-filled; the live row count is tracked by the owning
+    backend's peer index, so the slack past it is never read.
+    """
+    if size <= len(array):
+        return array
+    capacity = max(8, len(array))
+    while capacity < size:
+        capacity *= 2
+    grown = np.zeros(capacity, dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
 def _scores_via_cache(
-    cache: storage.EvidenceArray,
-    generations: storage.EvidenceArray,
+    cache: np.ndarray,
+    generations: np.ndarray,
     generation: int,
     rows: np.ndarray,
     prior_score: float,
@@ -249,22 +256,22 @@ def _scores_via_cache(
     ``generations[row] == generation`` marks a cache hit; anything else
     (zero for never-scored or freshly invalidated rows, an older generation
     after a decay backend's ``now`` changed) is recomputed through
-    ``compute`` — which applies exactly the uncached per-row formula, so the
-    cached answer is bit-identical to the uncached one.  Unknown subjects
-    (``row == -1``) score the prior without touching the cache.
+    ``compute`` — which applies exactly the per-row formula of the
+    backend's uncached ``beliefs_for`` path, so the cached answer is
+    bit-identical to the uncached one.  Unknown subjects (``row == -1``)
+    score the prior without touching the cache.
     """
     out = np.full(len(rows), prior_score)
     known = rows >= 0
     if not known.any():
         return out
     known_rows = rows[known]
-    hits = gather(generations, known_rows)
-    stale_mask = hits != generation
+    stale_mask = generations[known_rows] != generation
     if stale_mask.any():
         stale = np.unique(known_rows[stale_mask])
-        scatter_set(cache, stale, compute(stale))
-        scatter_set(generations, stale, generation)
-    out[known] = gather(cache, known_rows)
+        cache[stale] = compute(stale)
+        generations[stale] = generation
+    out[known] = cache[known_rows]
     return out
 
 
@@ -454,27 +461,16 @@ class TrustBackend:
     def describe_config(self) -> str:
         """The full effective configuration as one canonical line.
 
-        Reports kind, sharding, router, rebalance, storage layout, score
-        cache, worker placement, and recovery — the single source the run
-        summary prints instead of re-deriving the line from CLI flags.
+        Reports kind, sharding, rebalance, worker placement, and
+        recovery — the single source the run summary prints instead of
+        re-deriving the line from CLI flags.
         Layered backends (sharded, worker-hosted) override
         :meth:`_config_parts` to fill in their placement.
         """
         return ", ".join(self._config_parts())
 
     def _config_parts(self) -> List[str]:
-        def flag(value: bool) -> str:
-            return "on" if value else "off"
-
-        return [
-            self.name,
-            "unsharded",
-            "rebalance off",
-            "compact " + flag(bool(getattr(self, "compact", False))),
-            "cache-scores " + flag(bool(getattr(self, "_cache_scores", True))),
-            "workers 0",
-            "recovery off",
-        ]
+        return [self.name, "unsharded", "rebalance off", "workers 0", "recovery off"]
 
 
 class BetaTrustBackend(TrustBackend):
@@ -485,47 +481,28 @@ class BetaTrustBackend(TrustBackend):
     trust estimate.  Equivalent to
     :class:`~repro.trust.beta.BetaTrustModel` without a decay model, but
     updates and queries are O(batch) numpy operations instead of per-peer
-    list appends and rescans.
-
-    ``compact=True`` switches the evidence columns to the memory-bounded
-    layout (float32 pseudo-counts, int32 observation counts, chunked growth
-    that never copies the table; see :mod:`repro.trust.storage`).  Scores
-    then carry float32 evidence rounding — documented tolerance 1e-6
-    relative — while the default layout stays bit-for-bit the historical
-    float64 path.  ``cache_scores=True`` (the default) answers repeated
-    queries from a per-row score cache invalidated by ``update_many``
-    (dirty-row invalidation); cached scores are bit-identical to uncached
-    ones.
+    list appends and rescans.  :meth:`scores_for` answers repeated queries
+    from a per-row score cache invalidated by ``update_many`` (dirty-row
+    invalidation); cached scores are bit-identical to the uncached
+    :meth:`beliefs_for` path.
     """
 
     name = "beta"
 
-    def __init__(
-        self,
-        prior_alpha: float = 1.0,
-        prior_beta: float = 1.0,
-        compact: bool = False,
-        cache_scores: bool = True,
-    ) -> None:
+    def __init__(self, prior_alpha: float = 1.0, prior_beta: float = 1.0) -> None:
         if prior_alpha <= 0 or prior_beta <= 0:
             raise TrustModelError("priors must be positive")
         self._prior_alpha = prior_alpha
         self._prior_beta = prior_beta
-        self._compact = bool(compact)
-        self._cache_scores = bool(cache_scores)
-        # Compact-layout dtype *selection*: snapshots still widen to the
-        # canonical flat float64/int64 manifest via the storage helpers.
-        self._evidence_dtype = np.float32 if compact else np.float64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._count_dtype = np.int32 if compact else np.int64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
         self._index = _PeerIndex()
-        self._alpha = storage.make_array(self._evidence_dtype, compact)
-        self._beta = storage.make_array(self._evidence_dtype, compact)
-        self._count = storage.make_array(self._count_dtype, compact)
+        self._alpha = np.zeros(0)
+        self._beta = np.zeros(0)
+        self._count = np.zeros(0, dtype=np.int64)
         self._reset_cache()
 
     def _reset_cache(self) -> None:
-        self._score_cache = storage.make_array(np.float64, self._compact)
-        self._cache_gen = storage.make_array(np.int64, self._compact)
+        self._score_cache = np.zeros(0)
+        self._cache_gen = np.zeros(0, dtype=np.int64)
         self._generation = 1
         self._prior_score = self._prior_alpha / (self._prior_alpha + self._prior_beta)
 
@@ -533,17 +510,13 @@ class BetaTrustBackend(TrustBackend):
     def prior(self) -> BetaBelief:
         return BetaBelief(self._prior_alpha, self._prior_beta)
 
-    @property
-    def compact(self) -> bool:
-        return self._compact
-
     def _ensure_capacity(self) -> None:
         size = len(self._index)
-        self._alpha = storage.grow(self._alpha, size)
-        self._beta = storage.grow(self._beta, size)
-        self._count = storage.grow(self._count, size)
-        self._score_cache = storage.grow(self._score_cache, size)
-        self._cache_gen = storage.grow(self._cache_gen, size)
+        self._alpha = _grow(self._alpha, size)
+        self._beta = _grow(self._beta, size)
+        self._count = _grow(self._count, size)
+        self._score_cache = _grow(self._score_cache, size)
+        self._cache_gen = _grow(self._cache_gen, size)
 
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
         if not observations:
@@ -557,10 +530,10 @@ class BetaTrustBackend(TrustBackend):
         honest = np.fromiter(
             (o.honest for o in observations), dtype=bool, count=len(observations)
         )
-        scatter_add(self._alpha, idx[honest], weights[honest])
-        scatter_add(self._beta, idx[~honest], weights[~honest])
-        scatter_add(self._count, idx, 1)
-        scatter_set(self._cache_gen, np.unique(idx), 0)
+        np.add.at(self._alpha, idx[honest], weights[honest])
+        np.add.at(self._beta, idx[~honest], weights[~honest])
+        np.add.at(self._count, idx, 1)
+        self._cache_gen[idx] = 0
 
     def beliefs_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
@@ -570,32 +543,28 @@ class BetaTrustBackend(TrustBackend):
         alpha = np.full(len(rows), self._prior_alpha)
         beta = np.full(len(rows), self._prior_beta)
         known = rows >= 0
-        alpha[known] += gather_f64(self._alpha, rows[known])
-        beta[known] += gather_f64(self._beta, rows[known])
+        alpha[known] += self._alpha[rows[known]]
+        beta[known] += self._beta[rows[known]]
         return alpha, beta
 
-    def _row_scores(self, rows: np.ndarray, now: Optional[float]) -> np.ndarray:
-        """Uncached per-row score formula (the dirty-row recompute kernel)."""
-        alpha = self._prior_alpha + gather_f64(self._alpha, rows)
-        beta = self._prior_beta + gather_f64(self._beta, rows)
+    def _row_scores(self, rows: np.ndarray) -> np.ndarray:
+        """The per-row score formula (the dirty-row recompute kernel)."""
+        alpha = self._prior_alpha + self._alpha[rows]
+        beta = self._prior_beta + self._beta[rows]
         return alpha / (alpha + beta)
 
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
         self._record_query(len(subject_ids))
-        if self._cache_scores:
-            rows = self._index.lookup_many(subject_ids)
-            return _scores_via_cache(
-                self._score_cache,
-                self._cache_gen,
-                self._generation,
-                rows,
-                self._prior_score,
-                lambda stale: self._row_scores(stale, now),
-            )
-        alpha, beta = self.beliefs_for(subject_ids, now=now)
-        return alpha / (alpha + beta)
+        return _scores_via_cache(
+            self._score_cache,
+            self._cache_gen,
+            self._generation,
+            self._index.lookup_many(subject_ids),
+            self._prior_score,
+            self._row_scores,
+        )
 
     def aggregate_witness_reports(
         self,
@@ -616,8 +585,8 @@ class BetaTrustBackend(TrustBackend):
         if row is None:
             return self.prior
         return BetaBelief(
-            self._prior_alpha + float(storage.get_item(self._alpha, row)),
-            self._prior_beta + float(storage.get_item(self._beta, row)),
+            self._prior_alpha + float(self._alpha[row]),
+            self._prior_beta + float(self._beta[row]),
         )
 
     def trust(self, subject_id: str, now: Optional[float] = None) -> float:
@@ -626,7 +595,7 @@ class BetaTrustBackend(TrustBackend):
 
     def observation_count(self, subject_id: str) -> int:
         row = self._index.get(subject_id)
-        return 0 if row is None else int(storage.get_item(self._count, row))
+        return 0 if row is None else int(self._count[row])
 
     def known_subjects(self) -> Tuple[str, ...]:
         return self._index.names()
@@ -635,17 +604,13 @@ class BetaTrustBackend(TrustBackend):
         return len(self._index)
 
     def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
-        # Evidence columns are emitted in the canonical float64/int64
-        # snapshot dtypes regardless of storage layout, so compact and
-        # default backends (and any shard mix of the two) share one
-        # restorable, re-shardable format.
         size = len(self._index)
         yield "backend", np.array(self.name)
         yield "peer_ids", np.array(self._index.names(), dtype=object)
         yield "prior", np.array([self._prior_alpha, self._prior_beta])
-        yield "alpha", materialize(self._alpha, size, np.float64)
-        yield "beta", materialize(self._beta, size, np.float64)
-        yield "count", materialize(self._count, size, np.int64)
+        yield "alpha", self._alpha[:size].copy()
+        yield "beta", self._beta[:size].copy()
+        yield "count", self._count[:size].copy()
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         return dict(self.snapshot_items())
@@ -654,21 +619,9 @@ class BetaTrustBackend(TrustBackend):
         self._check_snapshot_backend(state)
         self._prior_alpha, self._prior_beta = (float(p) for p in state["prior"])
         self._index = _PeerIndex.from_names(state["peer_ids"])
-        self._alpha = storage.storage_from(
-            np.asarray(state["alpha"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._beta = storage.storage_from(
-            np.asarray(state["beta"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._count = storage.storage_from(
-            np.asarray(state["count"], dtype=np.int64),
-            self._count_dtype,
-            self._compact,
-        )
+        self._alpha = np.array(state["alpha"], dtype=np.float64)
+        self._beta = np.array(state["beta"], dtype=np.float64)
+        self._count = np.array(state["count"], dtype=np.int64)
         self._reset_cache()
         self._ensure_capacity()
 
@@ -686,13 +639,10 @@ class DecayTrustBackend(TrustBackend):
     queried at any ``now >= ref``; scoring with ``now=None`` evaluates at the
     reference time (the newest evidence).
 
-    ``compact=True`` selects the memory-bounded layout (float32 evidence
-    sums, int32 counts, chunked growth); the reference-time column stays
-    float64 so long simulations never lose timestamp precision.
-    ``cache_scores=True`` adds the dirty-row score cache; because decayed
-    scores depend on the query time, the cache is additionally keyed by
-    ``now`` — a query at a new ``now`` lazily recomputes only the rows it
-    actually touches.
+    :meth:`scores_for` answers from the same dirty-row score cache as the
+    beta backend; because decayed scores depend on the query time, the
+    cache is additionally keyed by ``now`` — a query at a new ``now``
+    lazily recomputes only the rows it actually touches.
     """
 
     name = "decay"
@@ -702,8 +652,6 @@ class DecayTrustBackend(TrustBackend):
         prior_alpha: float = 1.0,
         prior_beta: float = 1.0,
         half_life: float = 100.0,
-        compact: bool = False,
-        cache_scores: bool = True,
     ) -> None:
         if prior_alpha <= 0 or prior_beta <= 0:
             raise TrustModelError("priors must be positive")
@@ -712,22 +660,16 @@ class DecayTrustBackend(TrustBackend):
         self._prior_alpha = prior_alpha
         self._prior_beta = prior_beta
         self._half_life = half_life
-        self._compact = bool(compact)
-        self._cache_scores = bool(cache_scores)
-        # Compact-layout dtype *selection*: snapshots still widen to the
-        # canonical flat float64/int64 manifest via the storage helpers.
-        self._evidence_dtype = np.float32 if compact else np.float64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._count_dtype = np.int32 if compact else np.int64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
         self._index = _PeerIndex()
-        self._alpha = storage.make_array(self._evidence_dtype, compact)
-        self._beta = storage.make_array(self._evidence_dtype, compact)
-        self._ref = storage.make_array(np.float64, compact)
-        self._count = storage.make_array(self._count_dtype, compact)
+        self._alpha = np.zeros(0)
+        self._beta = np.zeros(0)
+        self._ref = np.zeros(0)
+        self._count = np.zeros(0, dtype=np.int64)
         self._reset_cache()
 
     def _reset_cache(self) -> None:
-        self._score_cache = storage.make_array(np.float64, self._compact)
-        self._cache_gen = storage.make_array(np.int64, self._compact)
+        self._score_cache = np.zeros(0)
+        self._cache_gen = np.zeros(0, dtype=np.int64)
         self._generation = 1
         self._cache_now: Optional[float] = None
         self._prior_score = self._prior_alpha / (self._prior_alpha + self._prior_beta)
@@ -736,18 +678,14 @@ class DecayTrustBackend(TrustBackend):
     def half_life(self) -> float:
         return self._half_life
 
-    @property
-    def compact(self) -> bool:
-        return self._compact
-
     def _ensure_capacity(self) -> None:
         size = len(self._index)
-        self._alpha = storage.grow(self._alpha, size)
-        self._beta = storage.grow(self._beta, size)
-        self._ref = storage.grow(self._ref, size)
-        self._count = storage.grow(self._count, size)
-        self._score_cache = storage.grow(self._score_cache, size)
-        self._cache_gen = storage.grow(self._cache_gen, size)
+        self._alpha = _grow(self._alpha, size)
+        self._beta = _grow(self._beta, size)
+        self._ref = _grow(self._ref, size)
+        self._count = _grow(self._count, size)
+        self._score_cache = _grow(self._score_cache, size)
+        self._cache_gen = _grow(self._cache_gen, size)
 
     def update_many(self, observations: Sequence[TrustObservation]) -> None:
         if not observations:
@@ -768,23 +706,23 @@ class DecayTrustBackend(TrustBackend):
         # reference.  The result is order-independent, so the whole batch
         # vectorizes.
         touched = np.unique(idx)
-        old_ref = gather(self._ref, touched)
-        scatter_max(self._ref, idx, times)
-        factor = np.power(0.5, (gather(self._ref, touched) - old_ref) / self._half_life)
-        storage.multiply_at(self._alpha, touched, factor)
-        storage.multiply_at(self._beta, touched, factor)
+        old_ref = self._ref[touched]
+        np.maximum.at(self._ref, idx, times)
+        factor = np.power(0.5, (self._ref[touched] - old_ref) / self._half_life)
+        self._alpha[touched] *= factor
+        self._beta[touched] *= factor
         contribution = weights * np.power(
-            0.5, (gather(self._ref, idx) - times) / self._half_life
+            0.5, (self._ref[idx] - times) / self._half_life
         )
-        scatter_add(self._alpha, idx[honest], contribution[honest])
-        scatter_add(self._beta, idx[~honest], contribution[~honest])
-        scatter_add(self._count, idx, 1)
-        scatter_set(self._cache_gen, touched, 0)
+        np.add.at(self._alpha, idx[honest], contribution[honest])
+        np.add.at(self._beta, idx[~honest], contribution[~honest])
+        np.add.at(self._count, idx, 1)
+        self._cache_gen[touched] = 0
 
     def _decay_to(self, rows: np.ndarray, now: Optional[float]) -> np.ndarray:
         if now is None:
             return np.ones(len(rows))
-        age = np.maximum(0.0, now - gather(self._ref, rows))
+        age = np.maximum(0.0, now - self._ref[rows])
         return np.power(0.5, age / self._half_life)
 
     def beliefs_for(
@@ -797,39 +735,35 @@ class DecayTrustBackend(TrustBackend):
         known = rows >= 0
         if known.any():
             factor = self._decay_to(rows[known], now)
-            alpha[known] += gather_f64(self._alpha, rows[known]) * factor
-            beta[known] += gather_f64(self._beta, rows[known]) * factor
+            alpha[known] += self._alpha[rows[known]] * factor
+            beta[known] += self._beta[rows[known]] * factor
         return alpha, beta
 
     def _row_scores(self, rows: np.ndarray, now: Optional[float]) -> np.ndarray:
-        """Uncached per-row score formula (the dirty-row recompute kernel)."""
+        """The per-row score formula (the dirty-row recompute kernel)."""
         factor = self._decay_to(rows, now)
-        alpha = self._prior_alpha + gather_f64(self._alpha, rows) * factor
-        beta = self._prior_beta + gather_f64(self._beta, rows) * factor
+        alpha = self._prior_alpha + self._alpha[rows] * factor
+        beta = self._prior_beta + self._beta[rows] * factor
         return alpha / (alpha + beta)
 
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
     ) -> np.ndarray:
         self._record_query(len(subject_ids))
-        if self._cache_scores:
-            # Decayed scores are a function of (row evidence, now): a new
-            # query time invalidates every cached entry at once by bumping
-            # the generation; rows are then recomputed lazily as queried.
-            if now != self._cache_now:
-                self._cache_now = now
-                self._generation += 1
-            rows = self._index.lookup_many(subject_ids)
-            return _scores_via_cache(
-                self._score_cache,
-                self._cache_gen,
-                self._generation,
-                rows,
-                self._prior_score,
-                lambda stale: self._row_scores(stale, now),
-            )
-        alpha, beta = self.beliefs_for(subject_ids, now=now)
-        return alpha / (alpha + beta)
+        # Decayed scores are a function of (row evidence, now): a new query
+        # time invalidates every cached entry at once by bumping the
+        # generation; rows are then recomputed lazily as queried.
+        if now != self._cache_now:
+            self._cache_now = now
+            self._generation += 1
+        return _scores_via_cache(
+            self._score_cache,
+            self._cache_gen,
+            self._generation,
+            self._index.lookup_many(subject_ids),
+            self._prior_score,
+            lambda stale: self._row_scores(stale, now),
+        )
 
     def aggregate_witness_reports(
         self,
@@ -852,8 +786,8 @@ class DecayTrustBackend(TrustBackend):
             return BetaBelief(self._prior_alpha, self._prior_beta)
         factor = float(self._decay_to(np.array([row]), now)[0])
         return BetaBelief(
-            self._prior_alpha + float(storage.get_item(self._alpha, row)) * factor,
-            self._prior_beta + float(storage.get_item(self._beta, row)) * factor,
+            self._prior_alpha + float(self._alpha[row]) * factor,
+            self._prior_beta + float(self._beta[row]) * factor,
         )
 
     def trust(self, subject_id: str, now: Optional[float] = None) -> float:
@@ -861,7 +795,7 @@ class DecayTrustBackend(TrustBackend):
 
     def observation_count(self, subject_id: str) -> int:
         row = self._index.get(subject_id)
-        return 0 if row is None else int(storage.get_item(self._count, row))
+        return 0 if row is None else int(self._count[row])
 
     def known_subjects(self) -> Tuple[str, ...]:
         return self._index.names()
@@ -870,17 +804,15 @@ class DecayTrustBackend(TrustBackend):
         return len(self._index)
 
     def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
-        # Canonical float64/int64 snapshot dtypes regardless of layout; see
-        # BetaTrustBackend.snapshot_items.
         size = len(self._index)
         yield "backend", np.array(self.name)
         yield "peer_ids", np.array(self._index.names(), dtype=object)
         yield "prior", np.array([self._prior_alpha, self._prior_beta])
         yield "half_life", np.array([self._half_life])
-        yield "alpha", materialize(self._alpha, size, np.float64)
-        yield "beta", materialize(self._beta, size, np.float64)
-        yield "ref", materialize(self._ref, size, np.float64)
-        yield "count", materialize(self._count, size, np.int64)
+        yield "alpha", self._alpha[:size].copy()
+        yield "beta", self._beta[:size].copy()
+        yield "ref", self._ref[:size].copy()
+        yield "count", self._count[:size].copy()
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         return dict(self.snapshot_items())
@@ -890,24 +822,10 @@ class DecayTrustBackend(TrustBackend):
         self._prior_alpha, self._prior_beta = (float(p) for p in state["prior"])
         self._half_life = float(state["half_life"][0])
         self._index = _PeerIndex.from_names(state["peer_ids"])
-        self._alpha = storage.storage_from(
-            np.asarray(state["alpha"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._beta = storage.storage_from(
-            np.asarray(state["beta"], dtype=np.float64),
-            self._evidence_dtype,
-            self._compact,
-        )
-        self._ref = storage.storage_from(
-            np.asarray(state["ref"], dtype=np.float64), np.float64, self._compact
-        )
-        self._count = storage.storage_from(
-            np.asarray(state["count"], dtype=np.int64),
-            self._count_dtype,
-            self._compact,
-        )
+        self._alpha = np.array(state["alpha"], dtype=np.float64)
+        self._beta = np.array(state["beta"], dtype=np.float64)
+        self._ref = np.array(state["ref"], dtype=np.float64)
+        self._count = np.array(state["count"], dtype=np.int64)
         self._reset_cache()
         self._ensure_capacity()
 
@@ -941,8 +859,6 @@ class ComplaintTrustBackend(TrustBackend):
         tolerance_factor: float = 4.0,
         trust_scale: float = 3.0,
         metric_mode: str = "product",
-        compact: bool = False,
-        cache_scores: bool = True,
     ) -> None:
         if tolerance_factor <= 0:
             raise TrustModelError(
@@ -960,14 +876,9 @@ class ComplaintTrustBackend(TrustBackend):
         self._metric_mode = metric_mode
         self._row_filter: Optional[Callable[[str], bool]] = None
         self._index = _PeerIndex()
-        # Complaint counts are small integers, exactly representable in
-        # float32 up to 2**24, so the compact layout loses no precision here.
-        self._compact = bool(compact)
-        self._cache_scores = bool(cache_scores)
-        self._count_dtype = np.float32 if compact else np.float64  # repro: allow(DTYPE001) — compact layout selection, snapshots stay canonical
-        self._received = storage.make_array(self._count_dtype, compact)
-        self._filed = storage.make_array(self._count_dtype, compact)
-        self._in_store = storage.make_array(np.bool_, compact)
+        self._received = np.zeros(0)
+        self._filed = np.zeros(0)
+        self._in_store = np.zeros(0, dtype=np.bool_)
         self._cached_reference = 0.0
         self._reference_valid = False
         self._sized = hasattr(self._store, "__len__")
@@ -983,10 +894,6 @@ class ComplaintTrustBackend(TrustBackend):
     @property
     def metric_mode(self) -> str:
         return self._metric_mode
-
-    @property
-    def compact(self) -> bool:
-        return self._compact
 
     def restrict_rows(self, row_filter: Callable[[str], bool]) -> None:
         """Maintain complaint counters only for agents passing ``row_filter``.
@@ -1065,18 +972,18 @@ class ComplaintTrustBackend(TrustBackend):
         accused = self._index.intern_many(accused_ids)
         filed_by = self._index.intern_many(filed_ids)
         self._ensure_capacity()
-        scatter_add(self._received, accused, 1.0)
-        scatter_add(self._filed, filed_by, 1.0)
-        scatter_set(self._in_store, accused, True)
-        scatter_set(self._in_store, filed_by, True)
+        np.add.at(self._received, accused, 1.0)
+        np.add.at(self._filed, filed_by, 1.0)
+        self._in_store[accused] = True
+        self._in_store[filed_by] = True
         self._synced_len += len(complaints)
         self._reference_valid = False
 
     def _ensure_capacity(self) -> None:
         size = len(self._index)
-        self._received = storage.grow(self._received, size)
-        self._filed = storage.grow(self._filed, size)
-        self._in_store = storage.grow(self._in_store, size)
+        self._received = _grow(self._received, size)
+        self._filed = _grow(self._filed, size)
+        self._in_store = _grow(self._in_store, size)
 
     # -- cache consistency ------------------------------------------------
     def _sync(self) -> None:
@@ -1096,9 +1003,9 @@ class ComplaintTrustBackend(TrustBackend):
         for agent_id in agents:
             self._index.intern(agent_id)
         self._ensure_capacity()
-        storage.fill(self._received, 0.0)
-        storage.fill(self._filed, 0.0)
-        storage.fill(self._in_store, False)
+        self._received[:] = 0.0
+        self._filed[:] = 0.0
+        self._in_store[:] = False
         complaints: Optional[Iterable[Complaint]] = None
         if hasattr(self._store, "all_complaints"):
             complaints = self._store.all_complaints()  # type: ignore[attr-defined]
@@ -1109,24 +1016,18 @@ class ComplaintTrustBackend(TrustBackend):
                 if row_filter is None or row_filter(complaint.accused_id):
                     accused = intern(complaint.accused_id)
                     self._ensure_capacity()
-                    storage.add_item(self._received, accused, 1.0)
+                    self._received[accused] += 1.0
                 if row_filter is None or row_filter(complaint.complainant_id):
                     complainant = intern(complaint.complainant_id)
                     self._ensure_capacity()
-                    storage.add_item(self._filed, complainant, 1.0)
+                    self._filed[complainant] += 1.0
         else:
             for agent_id in agents:
                 row = self._index.intern(agent_id)
-                storage.set_item(
-                    self._received,
-                    row,
-                    float(len(self._store.complaints_about(agent_id))),
-                )
-                storage.set_item(
-                    self._filed, row, float(len(self._store.complaints_by(agent_id)))
-                )
+                self._received[row] = len(self._store.complaints_about(agent_id))
+                self._filed[row] = len(self._store.complaints_by(agent_id))
         for agent_id in agents:
-            storage.set_item(self._in_store, self._index.intern(agent_id), True)
+            self._in_store[self._index.intern(agent_id)] = True
         self._reference_valid = False
 
     # -- assessment -------------------------------------------------------
@@ -1140,10 +1041,7 @@ class ComplaintTrustBackend(TrustBackend):
 
     def _metrics(self) -> np.ndarray:
         size = len(self._index)
-        return self._metric_of(
-            storage.prefix_view(self._received, size).astype(np.float64, copy=False),
-            storage.prefix_view(self._filed, size).astype(np.float64, copy=False),
-        )
+        return self._metric_of(self._received[:size], self._filed[:size])
 
     def _rows_for(self, subject_ids: Sequence[str]) -> np.ndarray:
         """Array rows for ``subject_ids`` (-1 marks unknown subjects)."""
@@ -1188,17 +1086,14 @@ class ComplaintTrustBackend(TrustBackend):
         if known.any():
             known_rows = rows[known]
             subject_metrics[known] = self._metric_of(
-                gather_f64(self._received, known_rows),
-                gather_f64(self._filed, known_rows),
+                self._received[known_rows], self._filed[known_rows]
             )
         return subject_metrics
 
     def metric_values_in_store(self) -> np.ndarray:
         """Metric values of every in-store agent (the median's input)."""
         self._sync()
-        return self._metrics()[
-            storage.prefix_view(self._in_store, len(self._index))
-        ]
+        return self._metrics()[self._in_store[: len(self._index)]]
 
     def reference_metric(self) -> float:
         """The community's median complaint metric (0 when no data)."""
@@ -1209,11 +1104,9 @@ class ComplaintTrustBackend(TrustBackend):
         # The median is the one whole-table pass on the query path; it only
         # changes when evidence does, so it is cached until the next write
         # (or store rebuild) invalidates it.
-        if self._cache_scores and self._reference_valid:
+        if self._reference_valid:
             return self._cached_reference
-        metrics = self._metrics()[
-            storage.prefix_view(self._in_store, len(self._index))
-        ]
+        metrics = self._metrics()[self._in_store[: len(self._index)]]
         reference = 0.0 if metrics.size == 0 else float(np.median(metrics))
         self._cached_reference = reference
         self._reference_valid = True
@@ -1225,10 +1118,7 @@ class ComplaintTrustBackend(TrustBackend):
         row = self._index.get(agent_id)
         if row is None:
             return (0, 0)
-        return (
-            int(storage.get_item(self._received, row)),
-            int(storage.get_item(self._filed, row)),
-        )
+        return (int(self._received[row]), int(self._filed[row]))
 
     def scores_for(
         self, subject_ids: Sequence[str], now: Optional[float] = None
@@ -1251,8 +1141,8 @@ class ComplaintTrustBackend(TrustBackend):
         received = np.zeros(len(rows))
         filed = np.zeros(len(rows))
         known = rows >= 0
-        received[known] = gather_f64(self._received, rows[known])
-        filed[known] = gather_f64(self._filed, rows[known])
+        received[known] = self._received[rows[known]]
+        filed[known] = self._filed[rows[known]]
         if matrix.shape[0] > 0:
             reported = witness_report_sums(matrix, discounts)
             received = received + reported[:, 0]
@@ -1312,19 +1202,13 @@ class ComplaintTrustBackend(TrustBackend):
         # set; answering from it avoids the store's O(complaints x agents)
         # rescan on the fast path.
         size = len(self._index)
-        in_store = storage.prefix_view(self._in_store, size)
+        in_store = self._in_store[:size]
         names = self._index.names()
         return tuple(names[row] for row in range(size) if in_store[row])
 
     def row_count(self) -> int:
         self._sync()
-        size = len(self._index)
-        if isinstance(self._in_store, storage.ChunkedArray):
-            return sum(
-                int(np.count_nonzero(chunk))
-                for _, chunk in self._in_store.iter_prefix(size)
-            )
-        return int(np.count_nonzero(self._in_store[:size]))
+        return int(np.count_nonzero(self._in_store[: len(self._index)]))
 
     def all_complaints(self) -> Tuple[Complaint, ...]:
         """Every complaint in the underlying store (requires enumeration)."""
@@ -1358,9 +1242,9 @@ class ComplaintTrustBackend(TrustBackend):
         yield "peer_ids", np.array(self._index.names(), dtype=object)
         yield "config", np.array([self._tolerance_factor, self._trust_scale])
         yield "metric_mode", np.array(self._metric_mode)
-        yield "received", materialize(self._received, size, np.float64)
-        yield "filed", materialize(self._filed, size, np.float64)
-        yield "in_store", materialize(self._in_store, size, np.bool_)
+        yield "received", self._received[:size].copy()
+        yield "filed", self._filed[:size].copy()
+        yield "in_store", self._in_store[:size].copy()
         complaints = self.all_complaints()
         yield "complainants", np.array(
             [c.complainant_id for c in complaints], dtype=object
@@ -1381,19 +1265,9 @@ class ComplaintTrustBackend(TrustBackend):
         )
         self._metric_mode = str(np.asarray(state["metric_mode"]).item())
         self._index = _PeerIndex.from_names(state["peer_ids"])
-        self._received = storage.storage_from(
-            np.asarray(state["received"], dtype=np.float64),
-            self._count_dtype,
-            self._compact,
-        )
-        self._filed = storage.storage_from(
-            np.asarray(state["filed"], dtype=np.float64),
-            self._count_dtype,
-            self._compact,
-        )
-        self._in_store = storage.storage_from(
-            np.asarray(state["in_store"], dtype=bool), np.bool_, self._compact
-        )
+        self._received = np.array(state["received"], dtype=np.float64)
+        self._filed = np.array(state["filed"], dtype=np.float64)
+        self._in_store = np.array(state["in_store"], dtype=np.bool_)
         self._reference_valid = False
         store = LocalComplaintStore()
         for complainant, accused, timestamp in zip(
@@ -1525,9 +1399,9 @@ def register_backend(
 def create_backend(name: str, **params: object) -> TrustBackend:
     """Instantiate a registered backend by name.
 
-    ``shards=N`` (with an optional ``router="hash"|"range"|"ring"``) wraps
-    the backend in a :class:`~repro.trust.sharding.ShardedBackend`
-    partitioning the peer-id space across ``N`` inner backends of the
+    ``shards=N`` wraps the backend in a
+    :class:`~repro.trust.sharding.ShardedBackend` partitioning the peer-id
+    space into ``N`` equal-width key intervals over inner backends of the
     requested kind; ``shards=1`` (the default) returns the plain backend.
     ``rebalance`` accepts a :class:`~repro.trust.sharding.RebalancePolicy`
     enabling live shard splits under load — with a policy the backend is
@@ -1543,13 +1417,9 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     (see :meth:`~repro.trust.workers.WorkerShardedBackend.heal_workers`).
 
     All remaining keyword parameters are forwarded to the backend factory
-    (and, when sharded, to every shard).  The built-in backends accept
-    ``compact=True`` for the memory-bounded evidence layout (narrow dtypes +
-    chunked growth; see :mod:`repro.trust.storage`) and ``cache_scores``
-    (default ``True``) for the dirty-row score cache.
+    (and, when sharded, to every shard).
     """
     shards = int(params.pop("shards", 1))  # type: ignore[arg-type]
-    router = params.pop("router", "hash")
     rebalance = params.pop("rebalance", None)
     workers = params.pop("workers", False)
     recovery = bool(params.pop("recovery", False))
@@ -1567,7 +1437,6 @@ def create_backend(name: str, **params: object) -> TrustBackend:
         return WorkerShardedBackend(
             name,
             shards,
-            router=router,
             rebalance=rebalance,
             transport=transport,
             recovery=recovery,
@@ -1578,9 +1447,7 @@ def create_backend(name: str, **params: object) -> TrustBackend:
     if shards > 1 or rebalance is not None:
         from repro.trust.sharding import ShardedBackend
 
-        return ShardedBackend(
-            name, shards, router=router, rebalance=rebalance, **params
-        )
+        return ShardedBackend(name, shards, rebalance=rebalance, **params)
     return factory(**params)
 
 

@@ -14,27 +14,14 @@ Routing
 -------
 A :class:`ShardRouter` maps a subject-id to its home shard through a stable
 32-bit key (``crc32`` of the UTF-8 id, so the assignment is identical
-across processes and runs, unlike Python's seeded ``hash``):
-
-``hash``
-    ``key % N`` — uniform, order-free assignment.  Stateless, which also
-    means a split would reassign (almost) every key: hash routers cannot
-    rebalance; use ``ring`` for hash-style assignment that can.
-``range``
-    ``N`` contiguous key intervals held as an explicit boundary table,
-    mirroring how P-Grid partitions its trie key space.  The default
-    layout is equal-width intervals; splitting a shard halves its interval
-    in place, so only the split shard's keys move.  The table always
-    starts at key 0 and covers the whole 32-bit key space — an id minted
-    long after construction (a flash-crowd arrival) lands in a real
-    interval, never in an out-of-range fallback shard.
-``ring``
-    Consistent hashing: each shard owns one point on the 32-bit ring and
-    the arc that ends at it.  Splitting a shard places the new shard's
-    point at the midpoint of the hot shard's widest arc, so — exactly like
-    ``range`` — only the split shard's keys move, while the initial
-    assignment stays hash-like (arc widths are pseudo-random, not ordered
-    intervals).
+across processes and runs, unlike Python's seeded ``hash``).  The key space
+is cut into ``N`` contiguous intervals held as an explicit boundary table,
+mirroring how P-Grid partitions its trie key space.  The initial layout is
+equal-width intervals; splitting a shard halves its interval in place, so
+only the split shard's keys move.  The table always starts at key 0 and
+covers the whole 32-bit key space — an id minted long after construction
+(a flash-crowd arrival) lands in a real interval, never in an out-of-range
+fallback shard.
 
 Live rebalancing
 ----------------
@@ -47,7 +34,7 @@ absolute row capacity) it is split in place through the very same
 ``shard-NNNN/*`` snapshot manifest a re-sharding restore uses — snapshot
 the hot shard, redistribute its rows (beta/decay) or re-file its complaint
 log (complaint) onto two successor shards, and atomically swap the
-router's key intervals (``range``) or ring points (``ring``).  Row values
+router's key intervals.  Row values
 are copied bit-for-bit and complaint logs are re-filed complaint-for-
 complaint, so results stay bit-identical to an unsharded run before,
 during and after every split — the sharding invariant survives churn.
@@ -70,8 +57,8 @@ Semantics
   medians would silently change the decision rule.
 * ``snapshot`` / ``restore`` produce a per-shard manifest: each shard
   serialises independently under a ``shard-NNNN/`` key prefix (the format a
-  multi-worker deployment checkpoints in parallel), plus the router name
-  *and its boundary state* needed to re-shard — a snapshot taken after
+  multi-worker deployment checkpoints in parallel), plus the router's
+  boundary state needed to re-shard — a snapshot taken after
   live splits records the uneven layout, so its per-shard logs are
   interpreted correctly on restore.  Restoring into a *different* shard
   count or router layout redistributes per-subject rows — or re-files the
@@ -85,7 +72,7 @@ from __future__ import annotations
 import itertools
 import time
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -107,11 +94,6 @@ from repro.trust.evidence import Complaint
 
 __all__ = [
     "ShardRouter",
-    "HashShardRouter",
-    "RangeShardRouter",
-    "RingShardRouter",
-    "ROUTER_NAMES",
-    "create_router",
     "RebalancePolicy",
     "RebalanceEvent",
     "ShardSplitError",
@@ -120,7 +102,7 @@ __all__ = [
 
 
 class ShardSplitError(TrustModelError):
-    """A shard cannot be split (unsplittable router or exhausted key range).
+    """A shard cannot be split (its key range is exhausted).
 
     Raised *before* any router mutation, so catching it is always safe;
     any other error escaping a split indicates a real failure (and the
@@ -129,10 +111,6 @@ class ShardSplitError(TrustModelError):
 
 _KEY_BITS = 32
 _KEY_SPACE = 1 << _KEY_BITS
-
-#: Router strategies selectable by name (CLI ``--shard-router``).
-ROUTER_NAMES = ("hash", "range", "ring")
-
 
 def shard_key(peer_id: str) -> int:
     """Stable 32-bit routing key for a peer id.
@@ -146,110 +124,15 @@ def shard_key(peer_id: str) -> int:
 
 
 class ShardRouter:
-    """Maps subject-ids to shard indices; strategies subclass :meth:`shard_of`."""
-
-    #: Registry name of the routing strategy.
-    name: str = "router"
-
-    #: Whether :meth:`split` is supported (a prerequisite for rebalancing).
-    supports_split: bool = False
-
-    def __init__(self, num_shards: int):
-        if num_shards < 1:
-            raise TrustModelError(f"num_shards must be >= 1, got {num_shards}")
-        self._num_shards = num_shards
-
-    @property
-    def num_shards(self) -> int:
-        return self._num_shards
-
-    def shard_of(self, peer_id: str) -> int:
-        """Home shard index of ``peer_id`` in ``[0, num_shards)``."""
-        raise NotImplementedError
-
-    def split(self, hot_index: int) -> int:
-        """Split shard ``hot_index``'s key range in place.
-
-        Returns the index of the newly created shard (always the next free
-        index, ``num_shards`` before the call).  Only the split shard's
-        keys move: every other shard's assignment is untouched.  Routers
-        without boundary state cannot split.
-        """
-        raise ShardSplitError(
-            f"the {self.name!r} router cannot split shards; "
-            "rebalancing needs a 'range' or 'ring' router"
-        )
-
-    def state(self) -> Optional[np.ndarray]:
-        """Serialisable boundary state (``None`` for stateless routers)."""
-        return None
-
-    def same_layout(self, other: "ShardRouter") -> bool:
-        """Whether ``other`` assigns every key exactly as this router does."""
-        if self.name != other.name or self._num_shards != other.num_shards:
-            return False
-        mine, theirs = self.state(), other.state()
-        if mine is None or theirs is None:
-            return mine is None and theirs is None
-        return mine.shape == theirs.shape and bool(np.array_equal(mine, theirs))
-
-    def _check_hot_index(self, hot_index: int) -> None:
-        if not 0 <= hot_index < self._num_shards:
-            raise TrustModelError(
-                f"shard index {hot_index} out of range [0, {self._num_shards})"
-            )
-
-    def describe(self) -> str:
-        return f"{self.name}({self._num_shards})"
-
-
-class HashShardRouter(ShardRouter):
-    """Uniform assignment by routing key modulo the shard count."""
-
-    name = "hash"
-
-    def shard_of(self, peer_id: str) -> int:
-        return shard_key(peer_id) % self._num_shards
-
-
-def _validate_boundary_state(
-    state: np.ndarray, num_shards: int, router_name: str
-) -> Tuple[List[int], List[int]]:
-    """Validate a ``(2, M)`` positions/owners table and return python lists."""
-    table = np.asarray(state, dtype=np.int64)
-    if table.ndim != 2 or table.shape[0] != 2 or table.shape[1] < 1:
-        raise TrustModelError(
-            f"{router_name} router state must be a (2, M>=1) array, "
-            f"got shape {table.shape}"
-        )
-    positions = [int(value) for value in table[0]]
-    owners = [int(value) for value in table[1]]
-    if any(not 0 <= position < _KEY_SPACE for position in positions):
-        raise TrustModelError(
-            f"{router_name} router positions must lie in [0, 2^{_KEY_BITS})"
-        )
-    if any(low >= high for low, high in zip(positions, positions[1:])):
-        raise TrustModelError(
-            f"{router_name} router positions must be strictly increasing"
-        )
-    if set(owners) != set(range(num_shards)):
-        raise TrustModelError(
-            f"{router_name} router state must assign at least one key range "
-            f"to every shard in [0, {num_shards})"
-        )
-    return positions, owners
-
-
-class RangeShardRouter(ShardRouter):
-    """Contiguous-interval assignment over an explicit boundary table.
+    """Maps subject-ids to shards over contiguous key intervals.
 
     The default layout gives shard ``i`` the equal-width interval
     ``[ceil(i * 2^32 / N), ceil((i + 1) * 2^32 / N))`` — the P-Grid-style
-    split of the key space into contiguous ranges.  The table always
-    starts at key 0 and (implicitly) ends at ``2^32``, so *every* possible
-    routing key falls inside a configured interval: ids first seen after
-    construction route deterministically into a real home interval, and
-    the assignment is stable across snapshot/restore because the table
+    split of the key space into contiguous ranges.  The boundary table
+    always starts at key 0 and (implicitly) ends at ``2^32``, so *every*
+    possible routing key falls inside a configured interval: ids first seen
+    after construction route deterministically into a real home interval,
+    and the assignment is stable across snapshot/restore because the table
     itself is the serialised router state.  A table whose first boundary
     is not 0 would silently send all low keys to whichever shard owns the
     last interval (an over-wide fallback), so it is rejected outright.
@@ -258,11 +141,10 @@ class RangeShardRouter(ShardRouter):
     upper half moves to the new shard, nothing else changes.
     """
 
-    name = "range"
-    supports_split = True
-
     def __init__(self, num_shards: int, state: Optional[np.ndarray] = None):
-        super().__init__(num_shards)
+        if num_shards < 1:
+            raise TrustModelError(f"num_shards must be >= 1, got {num_shards}")
+        self._num_shards = num_shards
         if state is None:
             self._starts = [
                 ((index << _KEY_BITS) + num_shards - 1) // num_shards
@@ -270,20 +152,29 @@ class RangeShardRouter(ShardRouter):
             ]
             self._owners = list(range(num_shards))
         else:
-            starts, owners = _validate_boundary_state(state, num_shards, self.name)
-            if starts[0] != 0:
-                raise TrustModelError(
-                    "range router intervals must start at key 0: keys below "
-                    f"the first boundary ({starts[0]}) would fall outside "
-                    "every configured interval"
-                )
-            self._starts, self._owners = starts, owners
+            self._starts, self._owners = _validate_boundary_state(
+                state, num_shards
+            )
+
+    @property
+    def num_shards(self) -> int:
+        return self._num_shards
 
     def shard_of(self, peer_id: str) -> int:
+        """Home shard index of ``peer_id`` in ``[0, num_shards)``."""
         return self._owners[bisect_right(self._starts, shard_key(peer_id)) - 1]
 
     def split(self, hot_index: int) -> int:
-        self._check_hot_index(hot_index)
+        """Split shard ``hot_index``'s widest key interval in place.
+
+        Returns the index of the newly created shard (always the next free
+        index, ``num_shards`` before the call).  Only the split shard's
+        keys move: every other shard's assignment is untouched.
+        """
+        if not 0 <= hot_index < self._num_shards:
+            raise TrustModelError(
+                f"shard index {hot_index} out of range [0, {self._num_shards})"
+            )
         best: Optional[Tuple[int, int]] = None  # (width, table position)
         for position, owner in enumerate(self._owners):
             if owner != hot_index:
@@ -309,100 +200,46 @@ class RangeShardRouter(ShardRouter):
         return new_index
 
     def state(self) -> np.ndarray:
+        """Serialisable ``(2, M)`` boundary table (interval starts, owners)."""
         return np.array([self._starts, self._owners], dtype=np.int64)
 
-    def describe(self) -> str:
-        return f"{self.name}({self._num_shards}, {len(self._starts)} intervals)"
+    def same_layout(self, other: "ShardRouter") -> bool:
+        """Whether ``other`` assigns every key exactly as this router does."""
+        return self._starts == other._starts and self._owners == other._owners
 
 
-class RingShardRouter(ShardRouter):
-    """Consistent hashing: shards own arcs of the 32-bit key ring.
-
-    Each shard starts with one point (``crc32`` of its shard label) and
-    owns the arc ending at that point, so the initial assignment is
-    hash-like — arc widths are pseudo-random, unrelated to shard order —
-    but, unlike the ``hash`` router's modulo, a split moves *only* the
-    split shard's keys: the new shard's point lands at the midpoint of the
-    hot shard's widest arc and takes the lower half of it.
-    """
-
-    name = "ring"
-    supports_split = True
-
-    def __init__(self, num_shards: int, state: Optional[np.ndarray] = None):
-        super().__init__(num_shards)
-        if state is None:
-            placed: Dict[int, int] = {}
-            for index in range(num_shards):
-                position = shard_key(f"shard-{index:04d}")
-                while position in placed:  # crc32 collision: probe forward
-                    position = (position + 1) % _KEY_SPACE
-                placed[position] = index
-            ordered = sorted(placed)
-            self._points = ordered
-            self._owners = [placed[position] for position in ordered]
-        else:
-            self._points, self._owners = _validate_boundary_state(
-                state, num_shards, self.name
-            )
-
-    def shard_of(self, peer_id: str) -> int:
-        index = bisect_left(self._points, shard_key(peer_id))
-        if index == len(self._points):
-            index = 0  # wrap: keys past the last point belong to the first
-        return self._owners[index]
-
-    def split(self, hot_index: int) -> int:
-        self._check_hot_index(hot_index)
-        count = len(self._points)
-        best: Optional[Tuple[int, int]] = None  # (arc length, predecessor)
-        for position, owner in enumerate(self._owners):
-            if owner != hot_index:
-                continue
-            if count == 1:
-                predecessor, length = self._points[0], _KEY_SPACE
-            else:
-                predecessor = self._points[position - 1] if position else self._points[-1]
-                length = (self._points[position] - predecessor) % _KEY_SPACE
-            if best is None or length > best[0]:
-                best = (length, predecessor)
-        if best is None or best[0] < 2:
-            raise ShardSplitError(f"shard {hot_index} owns no splittable ring arc")
-        length, predecessor = best
-        midpoint = (predecessor + length // 2) % _KEY_SPACE
-        new_index = self._num_shards
-        insert_at = bisect_left(self._points, midpoint)
-        self._points.insert(insert_at, midpoint)
-        self._owners.insert(insert_at, new_index)
-        self._num_shards += 1
-        return new_index
-
-    def state(self) -> np.ndarray:
-        return np.array([self._points, self._owners], dtype=np.int64)
-
-    def describe(self) -> str:
-        return f"{self.name}({self._num_shards}, {len(self._points)} points)"
-
-
-_ROUTER_CLASSES = {
-    cls.name: cls for cls in (HashShardRouter, RangeShardRouter, RingShardRouter)
-}
-
-
-def create_router(
-    name: str, num_shards: int, state: Optional[np.ndarray] = None
-) -> ShardRouter:
-    """Instantiate a routing strategy by name (optionally from saved state)."""
-    router_class = _ROUTER_CLASSES.get(name)
-    if router_class is None:
+def _validate_boundary_state(
+    state: np.ndarray, num_shards: int
+) -> Tuple[List[int], List[int]]:
+    """Validate a ``(2, M)`` starts/owners table and return python lists."""
+    table = np.asarray(state, dtype=np.int64)
+    if table.ndim != 2 or table.shape[0] != 2 or table.shape[1] < 1:
         raise TrustModelError(
-            f"unknown shard router {name!r}; registered: {ROUTER_NAMES}"
+            "router state must be a (2, M>=1) array, "
+            f"got shape {table.shape}"
         )
-    if state is None:
-        return router_class(num_shards)
-    if not router_class.supports_split:
-        raise TrustModelError(f"the {name!r} router carries no boundary state")
-    return router_class(num_shards, state=state)
+    starts = [int(value) for value in table[0]]
+    owners = [int(value) for value in table[1]]
+    if any(not 0 <= start < _KEY_SPACE for start in starts):
+        raise TrustModelError(
+            f"router interval starts must lie in [0, 2^{_KEY_BITS})"
+        )
+    if any(low >= high for low, high in zip(starts, starts[1:])):
+        raise TrustModelError(
+            "router interval starts must be strictly increasing"
+        )
+    if starts[0] != 0:
+        raise TrustModelError(
+            "router intervals must start at key 0: keys below the first "
+            f"boundary ({starts[0]}) would fall outside every configured "
+            "interval"
+        )
+    if set(owners) != set(range(num_shards)):
+        raise TrustModelError(
+            "router state must assign at least one key interval "
+            f"to every shard in [0, {num_shards})"
+        )
+    return starts, owners
 
 
 # ----------------------------------------------------------------------
@@ -502,12 +339,12 @@ class ShardedBackend(TrustBackend):
         How many partitions to split the peer-id space into initially
         (rebalancing may grow the count up to the policy's ``max_shards``).
     router:
-        Routing strategy: a name from :data:`ROUTER_NAMES` or a ready
-        :class:`ShardRouter` (whose shard count must match).
+        Optional ready :class:`ShardRouter` (whose shard count must
+        match); by default ``num_shards`` equal-width key intervals.
     rebalance:
         Optional :class:`RebalancePolicy`.  When set, the backend monitors
         per-shard load after every write batch and splits hot shards in
-        place (requires a splittable router, i.e. ``range`` or ``ring``).
+        place.
     **shard_params:
         Constructor parameters forwarded to every inner backend.
 
@@ -525,7 +362,7 @@ class ShardedBackend(TrustBackend):
         self,
         kind: str,
         num_shards: int,
-        router: object = "hash",
+        router: Optional[ShardRouter] = None,
         rebalance: Optional[RebalancePolicy] = None,
         **shard_params: object,
     ):
@@ -543,15 +380,14 @@ class ShardedBackend(TrustBackend):
             )
         self._kind = kind
         self._shard_params: Dict[str, object] = dict(shard_params)
-        if isinstance(router, ShardRouter):
-            if router.num_shards != num_shards:
-                raise TrustModelError(
-                    f"router covers {router.num_shards} shards, "
-                    f"backend has {num_shards}"
-                )
-            self._router = router
-        else:
-            self._router = create_router(str(router), num_shards)
+        if router is None:
+            router = ShardRouter(num_shards)
+        elif router.num_shards != num_shards:
+            raise TrustModelError(
+                f"router covers {router.num_shards} shards, "
+                f"backend has {num_shards}"
+            )
+        self._router = router
         self._shards: Tuple[TrustBackend, ...] = tuple(
             self._create_shard() for _ in range(num_shards)
         )
@@ -561,11 +397,6 @@ class ShardedBackend(TrustBackend):
                 raise TrustModelError(
                     "rebalance must be a RebalancePolicy or None, "
                     f"got {type(rebalance).__name__}"
-                )
-            if not self._router.supports_split:
-                raise TrustModelError(
-                    f"rebalancing requires a splittable router "
-                    f"('range' or 'ring'), not {self._router.name!r}"
                 )
             if not self._complaint_family and kind not in _ROW_KEYS:
                 raise TrustModelError(
@@ -678,15 +509,9 @@ class ShardedBackend(TrustBackend):
         suffix = ""
         if self._rebalance is not None:
             suffix = f", rebalance@{self._rebalance.threshold:g}"
-        return (
-            f"sharded({len(self._shards)}x{self._kind}, "
-            f"{self._router.name}{suffix})"
-        )
+        return f"sharded({len(self._shards)}x{self._kind}{suffix})"
 
     def _config_parts(self) -> List[str]:
-        def flag(value: object) -> str:
-            return "on" if value else "off"
-
         rebalance = "rebalance off"
         if self._rebalance is not None:
             rebalance = "rebalance auto@{:g} (max {})".format(
@@ -694,10 +519,8 @@ class ShardedBackend(TrustBackend):
             )
         return [
             self._kind,
-            "{} shards, {} router".format(len(self._shards), self._router.name),
+            "{} shards".format(len(self._shards)),
             rebalance,
-            "compact " + flag(self._shard_params.get("compact", False)),
-            "cache-scores " + flag(self._shard_params.get("cache_scores", True)),
             "workers 0",
             "recovery off",
         ]
@@ -929,9 +752,7 @@ class ShardedBackend(TrustBackend):
             # Roll the router back so a failed redistribution leaves the
             # backend exactly as it was: the shard table was never touched
             # and routing must not point at a phantom shard.
-            self._router = create_router(
-                self._router.name, saved_shards, state=saved_state
-            )
+            self._router = ShardRouter(saved_shards, state=saved_state)
             self._route_cache.clear()
             raise
         shards = list(self._shards)
@@ -1045,8 +866,7 @@ class ShardedBackend(TrustBackend):
             float(value) for value in shard_state["config"]
         )
         # The snapshot's scoring configuration overrides whatever the shard
-        # params carry; layout/caching knobs (compact, cache_scores) are
-        # deployment configuration and stay with this wrapper's params.
+        # params carry.
         shard = self._create_shard(
             tolerance_factor=tolerance_factor,
             trust_scale=trust_scale,
@@ -1289,7 +1109,7 @@ class ShardedBackend(TrustBackend):
     def snapshot_items(self) -> Iterator[Tuple[str, np.ndarray]]:
         """Stream the per-shard manifest one entry at a time.
 
-        Manifest metadata (router name *and boundary state*, inner kind,
+        Manifest metadata (router boundary state, inner kind,
         shard count) streams first, then every shard's own
         ``snapshot_items`` under its ``shard-NNNN/`` key prefix, then the
         prefix manifest.  Shard columns are materialised one at a time, so
@@ -1299,11 +1119,8 @@ class ShardedBackend(TrustBackend):
         """
         yield "backend", np.array(self.name)
         yield "kind", np.array(self._kind)
-        yield "router", np.array(self._router.name)
         yield "num_shards", np.array([len(self._shards)])
-        router_state = self._router.state()
-        if router_state is not None:
-            yield "router_state", router_state
+        yield "router_state", self._router.state()
         prefixes: List[str] = []
         for index, shard in enumerate(self._shards):
             prefix = f"shard-{index:04d}"
@@ -1315,7 +1132,7 @@ class ShardedBackend(TrustBackend):
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Serialise every shard independently under a ``shard-NNNN/`` prefix.
 
-        The manifest (shard prefixes, router name *and boundary state*,
+        The manifest (shard prefixes, router boundary state,
         inner kind) is what a multi-worker deployment needs to checkpoint
         shards in parallel and to restore onto a different shard layout.
         The router state matters once live splits have run: the shards are
@@ -1350,10 +1167,8 @@ class ShardedBackend(TrustBackend):
                 f"snapshot holds {kind!r} shards, cannot restore into "
                 f"{self._kind!r} shards"
             )
-        old_router = create_router(
-            str(np.asarray(meta["router"]).item()),
-            int(meta["num_shards"][0]),
-            state=meta.get("router_state"),
+        old_router = ShardRouter(
+            int(meta["num_shards"][0]), state=meta["router_state"]
         )
         entries = (
             itertools.chain([first_shard], iterator)
@@ -1427,11 +1242,7 @@ class ShardedBackend(TrustBackend):
                     if key.startswith(marker)
                 }
             )
-        old_router = create_router(
-            str(np.asarray(state["router"]).item()),
-            len(shard_states),
-            state=state.get("router_state"),
-        )
+        old_router = ShardRouter(len(shard_states), state=state["router_state"])
         self._route_cache.clear()
         self._writes += 1
         if old_router.same_layout(self._router):
@@ -1455,9 +1266,8 @@ class ShardedBackend(TrustBackend):
         """Redistribute a snapshot taken under a different shard layout.
 
         Handles any layout change: different shard count (more shards than
-        peers leaves some shards empty; a single shard absorbs everything),
-        different router strategy, or the uneven boundary tables a
-        rebalanced run checkpoints.
+        peers leaves some shards empty; a single shard absorbs everything)
+        or the uneven boundary tables a rebalanced run checkpoints.
         """
         if self._complaint_family:
             self._reshard_complaints(old_router, shard_states)

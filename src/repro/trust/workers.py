@@ -34,9 +34,7 @@ unchanged, as its distribution protocol:
 Score invisibility is non-negotiable and holds by construction: batches are
 partitioned by the same router, applied per shard in the same order, and
 gathered back into caller order, so a distributed same-seed run is
-bit-identical to the in-process sharded run (default layout; the documented
-~1e-5 relative tolerance applies to ``compact`` float32 evidence, exactly
-as in-process).
+bit-identical to the in-process sharded run.
 """
 
 from __future__ import annotations
@@ -80,8 +78,8 @@ from repro.trust.evidence import Complaint
 from repro.trust.sharding import (
     RebalancePolicy,
     ShardedBackend,
+    ShardRouter,
     _matrix_columns,
-    create_router,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -182,16 +180,14 @@ class HomeRowFilter:
 
     def __init__(
         self,
-        router_name: str,
         num_shards: int,
         state: Optional[np.ndarray],
         home: int,
     ):
-        self._router_name = router_name
         self._num_shards = num_shards
         self._state = state
         self._home = home
-        self._router = create_router(router_name, num_shards, state=state)
+        self._router = ShardRouter(num_shards, state=state)
         self._cache: Dict[str, int] = {}
 
     @property
@@ -206,7 +202,6 @@ class HomeRowFilter:
 
     def __getstate__(self) -> Dict[str, Any]:
         return {
-            "router_name": self._router_name,
             "num_shards": self._num_shards,
             "state": self._state,
             "home": self._home,
@@ -239,7 +234,7 @@ def _pack_observations(
             -1 if o.files_complaint is None else int(o.files_complaint)
             for o in observations
         ),
-        dtype=np.int8,  # repro: allow(DTYPE001) — tri-state complaint flag wire encoding; unpacked to bool/None before any evidence math
+        dtype=np.int64,
         count=count,
     )
     return observers, subjects, honest, times, weights, filed
@@ -846,7 +841,7 @@ class WorkerShardedBackend(ShardedBackend):
         self,
         kind: str,
         num_shards: int,
-        router: object = "hash",
+        router: Optional[ShardRouter] = None,
         rebalance: Optional[RebalancePolicy] = None,
         transport: str = "process",
         recovery: bool = False,
@@ -930,7 +925,6 @@ class WorkerShardedBackend(ShardedBackend):
     def _restrict_one(self, shard: TrustBackend, home: int) -> None:
         shard.restrict_rows(  # type: ignore[attr-defined]
             HomeRowFilter(
-                self._router.name,
                 self._router.num_shards,
                 self._router.state(),
                 home,
@@ -1220,7 +1214,7 @@ class WorkerShardedBackend(ShardedBackend):
             suffix += ", recovery"
         return (
             f"workers({len(self._shards)}x{self._kind}, "
-            f"{self._router.name}, {self._transport_kind}{suffix})"
+            f"{self._transport_kind}{suffix})"
         )
 
     # ------------------------------------------------------------------

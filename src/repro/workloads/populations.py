@@ -23,7 +23,7 @@ from repro.simulation.behaviors import (
     RationalDefectorBehavior,
 )
 from repro.simulation.peer import CommunityPeer
-from repro.trust import ComplaintStore, RebalancePolicy
+from repro.trust import ComplaintStore
 
 __all__ = ["PopulationSpec", "build_population", "population_factory", "honesty_map"]
 
@@ -112,11 +112,6 @@ def build_population(
     complaint_store: Optional[ComplaintStore] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
-    shards: int = 1,
-    shard_router: str = "hash",
-    rebalance: Optional[RebalancePolicy] = None,
-    compact: bool = False,
-    cache_scores: bool = True,
 ) -> List[CommunityPeer]:
     """Build the peers described by ``spec``.
 
@@ -124,10 +119,10 @@ def build_population(
     reads from) that shared store, modelling the community-wide complaint
     system; otherwise each peer keeps a private store (direct evidence only).
     ``trust_method`` selects the trust backend every peer consults (one of
-    :data:`repro.reputation.manager.TrustMethod.ALL`); ``shards`` partitions
-    every peer's trust backends by peer-id range (1 = unsharded);
-    ``compact`` switches every peer's backends to memory-bounded chunked
-    float32/int32 storage (large-community mode).
+    :data:`repro.reputation.manager.TrustMethod.ALL`).  Each peer's own
+    beta/decay/complaint backends are small private tables and always use
+    the plain single-arena layout; only a shared ``complaint_store`` (built
+    by the caller) may be sharded.
     """
     rng = random.Random(seed)
     peers: List[CommunityPeer] = []
@@ -140,11 +135,6 @@ def build_population(
                 complaint_store=complaint_store,
                 defection_penalty=spec.defection_penalty,
                 trust_method=trust_method,
-                shards=shards,
-                shard_router=shard_router,
-                rebalance=rebalance,
-                compact=compact,
-                cache_scores=cache_scores,
             )
         )
     return peers
@@ -155,11 +145,6 @@ def population_factory(
     complaint_store: Optional[ComplaintStore] = None,
     seed: int = 0,
     trust_method: str = TrustMethod.BETA,
-    shards: int = 1,
-    shard_router: str = "hash",
-    rebalance: Optional[RebalancePolicy] = None,
-    compact: bool = False,
-    cache_scores: bool = True,
 ) -> Callable[[int], CommunityPeer]:
     """A factory for churn arrivals drawing behaviours from the same spec."""
     rng = random.Random(seed + 1)
@@ -173,11 +158,6 @@ def population_factory(
             complaint_store=complaint_store,
             defection_penalty=spec.defection_penalty,
             trust_method=trust_method,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance,
-            compact=compact,
-            cache_scores=cache_scores,
         )
 
     return factory

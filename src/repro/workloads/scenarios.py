@@ -101,12 +101,9 @@ def build_scenario(
     retransmit_timeout: float = 2.0,
     witness_count: Optional[int] = None,
     shards: int = 1,
-    shard_router: str = "hash",
     rebalance: str = "off",
     rebalance_threshold: float = 2.0,
     max_shards: int = 16,
-    compact: bool = False,
-    cache_scores: bool = True,
     workers: int = 0,
     telemetry: Optional[object] = None,
 ) -> ScenarioSpec:
@@ -142,35 +139,28 @@ def build_scenario(
     request is upgraded to async with gossip repair so anti-entropy can
     backfill the missed evidence); ``fluctuating-behaviour`` — "milking"
     peers build reputation honestly then defect in bursts (the decay
-    backend's forgetting against late evidence).  ``shards`` partitions
-    every trust backend (each peer's own and the community's shared
-    complaint store) by peer-id range across that many inner backends;
-    results are bit-identical to ``shards=1``.  ``rebalance="auto"``
-    additionally lets every sharded backend *split hot shards live* while
-    the community runs (the P-Grid path-split under churn): a shard
-    exceeding ``rebalance_threshold`` times the ideal per-shard share — or
-    outgrowing an absolute per-shard row capacity scaled to the community
-    size, which is how a single-shard run starts splitting at all — is
-    snapshotted and its rows redistributed onto two successor shards, up
-    to ``max_shards``.  Splitting needs a splittable router, so a ``hash``
-    request is upgraded to ``ring`` (consistent hashing — same hash-style
-    assignment, but a split moves only the hot shard's keys).  Splits are
+    backend's forgetting against late evidence).
+
+    The layout knobs (``shards``, ``rebalance``,
+    ``rebalance_threshold``, ``max_shards``, ``workers``) configure the one
+    large shared structure, the community's complaint store; each peer's
+    own trust backends are small private tables and stay single-arena.
+    ``shards`` partitions the store into that many P-Grid-style peer-id
+    ranges, one inner backend each; results are bit-identical to
+    ``shards=1``.  ``rebalance="auto"`` additionally lets the store *split
+    hot shards live* while the community runs (the P-Grid path-split under
+    churn): a shard exceeding ``rebalance_threshold`` times the ideal
+    per-shard share — or outgrowing an absolute per-shard row capacity
+    scaled to the community size, which is how a single-shard store starts
+    splitting at all — is snapshotted and its complaint log re-filed onto
+    two successor shards, up to ``max_shards``.  Splits are
     score-invisible: results stay bit-identical to an unsharded run
-    before, during and after every split.  ``compact=True`` switches every
-    trust backend in the scenario (each peer's own and the shared complaint
-    store) to memory-bounded storage — chunked float32/int32 evidence
-    arrays that grow without copying — trading bit-identity for a
-    documented float32 tolerance on beta-family scores (complaint counters
-    remain exact); decisions on the registered scenarios are unchanged.
-    ``cache_scores=False`` disables the dirty-row score cache on every
-    trust backend in the scenario (the reference configuration the cache is
-    validated against).  ``workers=N`` (N >= 1) hosts the community's
-    shared complaint store in N shard-worker processes
-    (:class:`~repro.trust.workers.WorkerShardedBackend`) so the store's
-    updates and queries run in parallel across cores; the store is sharded
+    before, during and after every split.  ``workers=N`` (N >= 1) hosts the
+    store in N shard-worker processes
+    (:class:`~repro.trust.workers.WorkerShardedBackend`) so its updates and
+    queries run in parallel across cores; the store is sharded
     ``max(shards, workers)`` ways and scores stay bit-identical to the
-    in-process run.  Per-peer private backends stay in-process — one
-    worker fleet per peer would oversubscribe any machine.
+    in-process run.
     ``telemetry`` binds a :class:`repro.obs.MetricsRegistry` to the shared
     complaint store and the community run (``None`` keeps the zero-cost
     null recorder); telemetry is purely observational and never changes a
@@ -191,11 +181,6 @@ def build_scenario(
     trust_method = _resolve_trust_method(backend)
     rebalance_policy: Optional[RebalancePolicy] = None
     if rebalance == "auto":
-        if shard_router == "hash":
-            # Modulo hashing cannot split without reassigning every key;
-            # consistent hashing keeps hash-style assignment and splits
-            # cleanly, so an auto-rebalanced run upgrades to it.
-            shard_router = "ring"
         rebalance_policy = RebalancePolicy(
             threshold=rebalance_threshold,
             max_shards=max_shards,
@@ -210,16 +195,13 @@ def build_scenario(
     evidence_fault: Optional[Callable[[str, str, float], bool]] = None
     # One vectorized complaint backend shared by the whole community is the
     # community complaint store: every peer writes and reads through it, so
-    # counters are updated incrementally with no cache rebuilds.  With
-    # shards > 1 the store itself is partitioned by peer-id range.
+    # counters are updated incrementally with no cache rebuilds.  It is the
+    # only backend the layout knobs reach.
     shared_store = create_backend(
         "complaint",
         metric_mode="balanced",
         shards=max(shards, workers) if workers else shards,
-        router=shard_router,
         rebalance=rebalance_policy,
-        compact=compact,
-        cache_scores=cache_scores,
         workers=workers > 0,
     )
     if telemetry is not None and getattr(telemetry, "enabled", False):
@@ -312,11 +294,6 @@ def build_scenario(
             complaint_store=shared_store,
             seed=seed,
             trust_method=trust_method,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance_policy,
-            compact=compact,
-            cache_scores=cache_scores,
         )
     elif name == "collusive-witness":
         spec = PopulationSpec(
@@ -400,11 +377,6 @@ def build_scenario(
             complaint_store=shared_store,
             seed=seed,
             trust_method=trust_method,
-            shards=shards,
-            shard_router=shard_router,
-            rebalance=rebalance_policy,
-            compact=compact,
-            cache_scores=cache_scores,
         )
     elif name == "partition-heal":
         # Two cliques (even/odd peer index) lose every cross-partition
@@ -527,9 +499,6 @@ def build_scenario(
         witness_count=(
             witness_count if witness_count is not None else scenario_witness_count
         ),
-        rebalance=rebalance,
-        rebalance_threshold=rebalance_threshold,
-        max_shards=max_shards,
         telemetry=telemetry,
     )
     peers = build_population(
@@ -537,11 +506,6 @@ def build_scenario(
         complaint_store=shared_store,
         seed=seed,
         trust_method=trust_method,
-        shards=shards,
-        shard_router=shard_router,
-        rebalance=rebalance_policy,
-        compact=compact,
-        cache_scores=cache_scores,
     )
     if name == "sybil-coalition":
         coalition_peers = [

@@ -406,7 +406,7 @@ def test_dtype001_flags_narrow_dtypes(make_tree):
     assert len(result.findings) == 2
 
 
-def test_dtype001_clean_fixture_and_storage_exemption(make_tree):
+def test_dtype001_clean_fixture_and_no_storage_exemption(make_tree):
     root = make_tree(
         {
             "trust/fixture.py": """\
@@ -423,7 +423,9 @@ def test_dtype001_clean_fixture_and_storage_exemption(make_tree):
             """,
         }
     )
-    assert run_check(root, [CanonicalDtypeRule()]).clean
+    result = run_check(root, [CanonicalDtypeRule()])
+    # No module is exempt: the narrow literal in storage.py is a finding.
+    assert [finding.path for finding in result.findings] == ["trust/storage.py"]
 
 
 def test_dtype001_ignores_non_numpy_attributes(make_tree):

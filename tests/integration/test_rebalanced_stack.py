@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.reputation.manager import TrustMethod
 from repro.trust import ShardedBackend
 from repro.workloads import build_scenario
+from repro.workloads.registry import build_registered_scenario
 
 #: scenario -> the backend kind its rebalanced run exercises.
 SCENARIOS = {
@@ -124,7 +125,7 @@ class TestForcedMidRunSplits:
         )
         reb_scenario, reb_sim, _, _ = _run(
             "partition-heal", "complaint", seed=5, size=10, rounds=8,
-            shards=3, shard_router="range",
+            shards=3,
             rebalance="auto", rebalance_threshold=1.05, max_shards=32,
         )
         subjects = sorted(
@@ -136,23 +137,25 @@ class TestForcedMidRunSplits:
         )
 
 
-def test_departed_peers_retained_for_split_reporting():
-    """Churned-out peers' backends stay reachable, so run summaries can
-    count the live splits they performed before leaving."""
-    scenario = build_scenario(
-        "high-churn", size=16, rounds=12, seed=2,
-        shards=2, rebalance="auto", rebalance_threshold=1.05, max_shards=32,
+def test_only_the_complaint_store_is_sharded():
+    """Layout knobs reach the shared complaint store and nothing else.
+
+    Every peer's own backends — live peers, churned-out peers, and the
+    lazily built decay backends — stay plain single-arena tables.
+    """
+    scenario = build_registered_scenario(
+        "flash-crowd", size=16, rounds=8, seed=2, shards=4, rebalance="auto"
     )
     simulation = scenario.simulation()
     simulation.run()
-    departed = simulation.departed_peers
-    assert departed, "high-churn should have churned somebody out"
-    live_ids = {peer.peer_id for peer in simulation.peers}
-    assert live_ids.isdisjoint(peer.peer_id for peer in departed)
-    for peer in departed:
-        assert isinstance(
-            peer.reputation.backend_for(TrustMethod.BETA), ShardedBackend
-        )
+    assert simulation.departed_peers, "flash-crowd should churn somebody out"
+    backends = [scenario.complaint_store]
+    for peer in list(simulation.peers) + list(simulation.departed_peers):
+        peer.reputation.backend_for(TrustMethod.DECAY)
+        backends.extend(peer.reputation.backends.values())
+    sharded = {id(b): b for b in backends if isinstance(b, ShardedBackend)}
+    assert list(sharded.values()) == [scenario.complaint_store]
+    assert scenario.complaint_store.rebalance_policy is not None
 
 
 @settings(deadline=None, max_examples=8)
@@ -161,9 +164,8 @@ def test_departed_peers_retained_for_split_reporting():
     seed=st.integers(min_value=0, max_value=40),
     size=st.integers(min_value=8, max_value=12),
     shards=st.integers(min_value=1, max_value=3),
-    router=st.sampled_from(("range", "ring")),
 )
-def test_property_rebalanced_run_matches_unsharded(name, seed, size, shards, router):
+def test_property_rebalanced_run_matches_unsharded(name, seed, size, shards):
     """Any seed/size/layout: an auto-rebalanced run equals the unsharded one.
 
     The aggressive threshold forces splits on most draws (not asserted per
@@ -176,7 +178,7 @@ def test_property_rebalanced_run_matches_unsharded(name, seed, size, shards, rou
     )
     reb_scenario, _, reb_result, reb_trust = _run(
         name, backend, seed=seed, size=size, rounds=6,
-        shards=shards, shard_router=router,
+        shards=shards,
         rebalance="auto", rebalance_threshold=1.05, max_shards=32,
     )
     _assert_equivalent((base_result, base_trust), (reb_result, reb_trust))

@@ -1,4 +1,4 @@
-"""Sharding across the whole stack: scenarios, manager, evidence, CLI knob.
+"""Sharding across the whole stack: scenarios, evidence, CLI knob.
 
 The acceptance bar for the sharded-backend refactor is that ``--shards N``
 is *invisible* end to end: every scenario, run with any backend kind,
@@ -6,12 +6,9 @@ produces identical trust scores, decisions and economic outcomes whether
 the trust state lives in one arena or is partitioned across N shards.
 """
 
-import numpy as np
 import pytest
 
-from repro.reputation.manager import ReputationManager, TrustMethod
-from repro.reputation.records import InteractionRecord
-from repro.trust import ShardedBackend
+from repro.reputation.manager import TrustMethod
 from repro.workloads import build_scenario, scenario_names
 
 
@@ -86,38 +83,3 @@ class TestFlashCrowdScenario:
         )
         assert baseline_result.total_welfare == sharded_result.total_welfare
         assert baseline_trust == sharded_trust
-
-
-class TestShardedManager:
-    def test_manager_shards_all_backends(self):
-        manager = ReputationManager(owner_id="me", shards=4)
-        assert isinstance(manager.backend_for(TrustMethod.BETA), ShardedBackend)
-        assert isinstance(
-            manager.backend_for(TrustMethod.COMPLAINT), ShardedBackend
-        )
-        assert isinstance(manager.backend_for(TrustMethod.DECAY), ShardedBackend)
-
-    def test_sharded_manager_matches_unsharded(self):
-        plain = ReputationManager(owner_id="me")
-        sharded = ReputationManager(owner_id="me", shards=3)
-        partners = [f"partner-{index}" for index in range(8)]
-        for index, partner in enumerate(partners * 3):
-            record = InteractionRecord(
-                supplier_id=partner,
-                consumer_id="me",
-                completed=index % 3 != 0,
-                defector="supplier" if index % 3 == 0 else None,
-                value=5.0,
-                timestamp=float(index),
-            )
-            plain.record_interaction(record)
-            sharded.record_interaction(record)
-        for method in TrustMethod.ALL:
-            np.testing.assert_array_equal(
-                plain.trust_scores(partners, method=method),
-                sharded.trust_scores(partners, method=method),
-            )
-        for partner in partners:
-            assert plain.is_trustworthy(
-                partner, method=TrustMethod.COMPLAINT
-            ) == sharded.is_trustworthy(partner, method=TrustMethod.COMPLAINT)

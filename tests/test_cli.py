@@ -172,14 +172,13 @@ class TestRunCommand:
                 "run",
                 "--scenario", "flash-crowd",
                 "--shards", "3",
-                "--shard-router", "range",
                 "--size", "8",
                 "--rounds", "3",
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "3 shards, range router" in output
+        assert "(store: complaint, 3 shards, rebalance auto" in output
 
     def test_sharded_run_output_identical_to_unsharded(self, capsys):
         """--shards is a deployment knob: every reported number must match."""
@@ -203,25 +202,13 @@ class TestRunCommand:
         ]
         assert strip(outputs[0]) == strip(outputs[1])
 
-    def test_unknown_shard_router_rejected(self):
+    @pytest.mark.parametrize(
+        "option", (["--shard-router", "range"], ["--compact"],
+                   ["--cache-scores", "off"])
+    )
+    def test_removed_layout_options_rejected(self, option):
         with pytest.raises(SystemExit):
-            main(["run", "--scenario", "ebay", "--shard-router", "zodiac"])
-
-    def test_rebalanced_run_reports_the_upgraded_router(self, capsys):
-        """rebalance auto upgrades hash->ring; the summary must say ring."""
-        exit_code = main(
-            [
-                "run",
-                "--scenario", "flash-crowd",
-                "--shards", "2",
-                "--size", "8",
-                "--rounds", "3",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "2 shards, ring router" in output
-        assert "hash router" not in output
+            main(["run", "--scenario", "ebay", *option])
 
     def test_flash_crowd_rebalances_by_default(self, capsys):
         """The registry default turns live splitting on for flash-crowd."""

@@ -4,8 +4,8 @@ The worker transport serialises three things it never re-validates: the
 router boundary state inside :class:`HomeRowFilter` restriction predicates,
 per-shard ``shard-NNNN/*`` manifest entries streamed through the parent,
 and whole manifests replayed on crash recovery.  These property tests pin
-the precondition the transport silently relies on: every router kind (in
-every post-split uneven layout) and every manifest survives
+the precondition the transport silently relies on: the router (in every
+post-split uneven layout) and every manifest survives
 ``pickle.dumps``/``loads`` unchanged.
 """
 
@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trust import (
-    ROUTER_NAMES,
     HomeRowFilter,
+    ShardRouter,
     TrustObservation,
     create_backend,
-    create_router,
 )
 
 SAMPLE_IDS = [f"peer-{index:03d}" for index in range(64)]
@@ -40,14 +39,11 @@ def _apply_splits(router, splits):
 
 @settings(deadline=None, max_examples=40)
 @given(
-    name=st.sampled_from(ROUTER_NAMES),
     num_shards=st.integers(min_value=1, max_value=8),
     splits=st.lists(st.integers(min_value=0, max_value=63), max_size=5),
 )
-def test_router_pickle_round_trip(name, num_shards, splits):
-    router = create_router(name, num_shards)
-    if router.supports_split:
-        _apply_splits(router, splits)
+def test_router_pickle_round_trip(num_shards, splits):
+    router = _apply_splits(ShardRouter(num_shards), splits)
     copy = _round_trip(router)
     assert copy.num_shards == router.num_shards
     assert copy.same_layout(router)
@@ -58,16 +54,15 @@ def test_router_pickle_round_trip(name, num_shards, splits):
 
 @settings(deadline=None, max_examples=40)
 @given(
-    name=st.sampled_from(("range", "ring")),
     num_shards=st.integers(min_value=1, max_value=6),
     splits=st.lists(
         st.integers(min_value=0, max_value=63), min_size=1, max_size=5
     ),
 )
-def test_router_state_reconstructs_split_layouts(name, num_shards, splits):
-    router = _apply_splits(create_router(name, num_shards), splits)
+def test_router_state_reconstructs_split_layouts(num_shards, splits):
+    router = _apply_splits(ShardRouter(num_shards), splits)
     state = _round_trip(router.state())
-    rebuilt = create_router(name, router.num_shards, state=state)
+    rebuilt = ShardRouter(router.num_shards, state=state)
     assert rebuilt.same_layout(router)
     for peer_id in SAMPLE_IDS:
         assert rebuilt.shard_of(peer_id) == router.shard_of(peer_id)
@@ -75,17 +70,14 @@ def test_router_state_reconstructs_split_layouts(name, num_shards, splits):
 
 @settings(deadline=None, max_examples=25)
 @given(
-    name=st.sampled_from(ROUTER_NAMES),
     num_shards=st.integers(min_value=1, max_value=6),
     splits=st.lists(st.integers(min_value=0, max_value=63), max_size=4),
     home=st.integers(min_value=0, max_value=63),
 )
-def test_home_row_filter_pickle_round_trip(name, num_shards, splits, home):
-    router = create_router(name, num_shards)
-    if router.supports_split:
-        _apply_splits(router, splits)
+def test_home_row_filter_pickle_round_trip(num_shards, splits, home):
+    router = _apply_splits(ShardRouter(num_shards), splits)
     row_filter = HomeRowFilter(
-        name, router.num_shards, router.state(), home % router.num_shards
+        router.num_shards, router.state(), home % router.num_shards
     )
     copy = _round_trip(row_filter)
     assert copy.home == row_filter.home
@@ -115,7 +107,7 @@ def test_manifest_pickle_round_trip(kind, split_once):
     """Every manifest entry — including post-split uneven layouts —
     survives the wire unchanged, and the pickled manifest restores into an
     identical backend."""
-    backend = create_backend(kind, shards=3, router="range")
+    backend = create_backend(kind, shards=3)
     backend.update_many(_observations(5))
     if split_once:
         backend.split_shard(0)
@@ -128,7 +120,7 @@ def test_manifest_pickle_round_trip(kind, split_once):
             np.asarray(restored), np.asarray(value)
         ), key
         assert np.asarray(restored).dtype == np.asarray(value).dtype, key
-    replica = create_backend(kind, shards=backend.num_shards, router="range")
+    replica = create_backend(kind, shards=backend.num_shards)
     replica.restore(copy)
     assert np.array_equal(
         replica.scores_for(SAMPLE_IDS), backend.scores_for(SAMPLE_IDS)

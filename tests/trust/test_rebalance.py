@@ -1,4 +1,4 @@
-"""Live shard rebalancing: splittable routers, in-place splits, restores.
+"""Live shard rebalancing: the splittable router, in-place splits, restores.
 
 Pins the rebalancing contract of :class:`~repro.trust.sharding.
 ShardedBackend`: a live split — snapshot the hot shard, redistribute its
@@ -6,7 +6,7 @@ rows / re-file its complaint log onto two successors, swap the router's
 key table — is *score-invisible* for every backend kind, only the split
 shard's keys ever move, and the per-shard manifest round-trips the uneven
 post-split layout (including onto one shard, or onto more shards than
-there are peers).  Also the regression tests for the range router's
+there are peers).  Also the regression tests for the router's
 key-space coverage: ids minted after construction (flash-crowd arrivals)
 must route deterministically and stably, never through an out-of-range
 fallback.
@@ -19,18 +19,26 @@ import pytest
 
 from repro.exceptions import TrustModelError
 from repro.trust import (
-    RangeShardRouter,
     RebalancePolicy,
-    RingShardRouter,
     ShardedBackend,
+    ShardRouter,
     TrustObservation,
     create_backend,
-    create_router,
 )
 from repro.trust.sharding import _KEY_SPACE, shard_key
 
 KINDS = ("beta", "complaint", "decay")
-SPLITTABLE = (RangeShardRouter, RingShardRouter)
+
+
+def _interleaved(shards):
+    """``2 * shards`` equal intervals owned round-robin, so every shard's
+    home is two disjoint key ranges (splits pick the widest of them)."""
+    even = ShardRouter(2 * shards).state()
+    return ShardRouter(shards, state=np.array([even[0], even[1] % shards]))
+
+
+#: Initial router layouts: equal-width contiguous, and interleaved.
+LAYOUTS = {"even": ShardRouter, "interleaved": _interleaved}
 
 
 def _observation_stream(n_observations=360, n_peers=40, seed=17):
@@ -52,10 +60,10 @@ def _observation_stream(n_observations=360, n_peers=40, seed=17):
     return peers, observations
 
 
-class TestSplittableRouters:
-    @pytest.mark.parametrize("router_class", SPLITTABLE)
-    def test_split_moves_only_the_hot_shards_keys(self, router_class):
-        router = router_class(3)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+class TestSplittableRouter:
+    def test_split_moves_only_the_hot_shards_keys(self, layout):
+        router = LAYOUTS[layout](3)
         ids = [f"peer-{index}" for index in range(3000)]
         before = {peer: router.shard_of(peer) for peer in ids}
         loads = {shard: 0 for shard in range(3)}
@@ -71,35 +79,31 @@ class TestSplittableRouters:
         for peer in moved:
             assert before[peer] == hot
             assert after[peer] == new_index
-        # Splitting halves the key space, so a decent chunk actually moves.
-        assert len(moved) >= loads[hot] // 4
+        # Splitting halves the hot shard's widest interval: about half its
+        # keys move on the even layout, a quarter when it owns two equal
+        # intervals; at least half of that share must actually move.
+        expected = loads[hot] // (2 if layout == "even" else 4)
+        assert len(moved) >= expected // 2
 
-    @pytest.mark.parametrize("router_class", SPLITTABLE)
-    def test_state_round_trip_preserves_assignment(self, router_class):
-        router = router_class(4)
+    def test_state_round_trip_preserves_assignment(self, layout):
+        router = LAYOUTS[layout](4)
         router.split(1)
         router.split(0)
-        clone = router_class(router.num_shards, state=router.state())
+        clone = ShardRouter(router.num_shards, state=router.state())
         for index in range(2000):
             peer = f"wanderer-{index}"
             assert clone.shard_of(peer) == router.shard_of(peer)
         assert clone.same_layout(router)
 
-    @pytest.mark.parametrize("router_class", SPLITTABLE)
-    def test_repeated_splits_stay_in_range(self, router_class):
-        router = router_class(2)
+    def test_repeated_splits_stay_in_range(self, layout):
+        router = LAYOUTS[layout](2)
         for _ in range(10):
             router.split(router.num_shards - 1)
         for index in range(1000):
             assert 0 <= router.shard_of(f"p-{index}") < router.num_shards
 
-    def test_hash_router_cannot_split(self):
-        router = create_router("hash", 4)
-        with pytest.raises(TrustModelError):
-            router.split(0)
-
-    def test_split_index_out_of_range_rejected(self):
-        router = RangeShardRouter(2)
+    def test_split_index_out_of_range_rejected(self, layout):
+        router = LAYOUTS[layout](2)
         with pytest.raises(TrustModelError):
             router.split(2)
         with pytest.raises(TrustModelError):
@@ -113,8 +117,8 @@ class TestRangeRouterCoverage:
         # Flash-crowd arrivals: ids the router has never seen, minted long
         # after construction, must land in a real home interval — the same
         # one on every identically-configured router.
-        router = RangeShardRouter(4)
-        twin = RangeShardRouter(4)
+        router = ShardRouter(4)
+        twin = ShardRouter(4)
         assignments = {}
         for counter in range(500):
             late_id = f"flash-new-{counter}"
@@ -130,10 +134,10 @@ class TestRangeRouterCoverage:
 
     def test_assignment_stable_across_snapshot_restore(self):
         peers, observations = _observation_stream()
-        original = ShardedBackend("beta", 4, router="range")
+        original = ShardedBackend("beta", 4)
         original.update_many(observations)
         original.split_shard(1)  # uneven layout: the state must travel
-        restored = ShardedBackend("beta", 5, router="range")
+        restored = ShardedBackend("beta", 5)
         restored.restore(original.snapshot())
         # The restored backend re-routes with its own (default, even) table;
         # scores must match regardless, and ids minted only after the
@@ -141,7 +145,7 @@ class TestRangeRouterCoverage:
         np.testing.assert_array_equal(
             original.scores_for(peers), restored.scores_for(peers)
         )
-        twin = ShardedBackend("beta", 5, router="range")
+        twin = ShardedBackend("beta", 5)
         twin.restore(original.snapshot())
         for counter in range(200):
             late_id = f"flash-new-{counter}"
@@ -152,34 +156,32 @@ class TestRangeRouterCoverage:
         # to the last interval's owner (the "over-wide fallback" bug).
         bad = np.array([[1000, _KEY_SPACE // 2], [0, 1]], dtype=np.int64)
         with pytest.raises(TrustModelError):
-            RangeShardRouter(2, state=bad)
+            ShardRouter(2, state=bad)
 
     def test_malformed_state_rejected(self):
         descending = np.array([[0, 10, 5], [0, 1, 2]], dtype=np.int64)
         with pytest.raises(TrustModelError):
-            RangeShardRouter(3, state=descending)
+            ShardRouter(3, state=descending)
         unowned = np.array([[0, 100], [0, 0]], dtype=np.int64)
         with pytest.raises(TrustModelError):
-            RangeShardRouter(2, state=unowned)
-        with pytest.raises(TrustModelError):
-            RingShardRouter(2, state=unowned)
+            ShardRouter(2, state=unowned)
 
     def test_default_table_matches_legacy_formula(self):
         # PR 3's range router computed (key * N) >> 32; the boundary table
         # must reproduce it exactly so old snapshots re-shard identically.
-        router = RangeShardRouter(7)
+        router = ShardRouter(7)
         for index in range(2000):
             peer = f"legacy-{index}"
             assert router.shard_of(peer) == (shard_key(peer) * 7) >> 32
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("router", ("range", "ring"))
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 class TestLiveSplit:
-    def test_mid_stream_split_is_bit_invisible(self, kind, router):
+    def test_mid_stream_split_is_bit_invisible(self, kind, layout):
         peers, observations = _observation_stream()
         plain = create_backend(kind)
-        sharded = ShardedBackend(kind, 2, router=router)
+        sharded = ShardedBackend(kind, 2, router=LAYOUTS[layout](2))
         half = len(observations) // 2
         for backend in (plain, sharded):
             backend.update_many(observations[:half])
@@ -203,9 +205,9 @@ class TestLiveSplit:
         )
         assert sorted(plain.known_subjects()) == sorted(sharded.known_subjects())
 
-    def test_split_event_accounting(self, kind, router):
+    def test_split_event_accounting(self, kind, layout):
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, 2, router=router)
+        sharded = ShardedBackend(kind, 2, router=LAYOUTS[layout](2))
         sharded.update_many(observations)
         rows_before = sharded.shard_row_counts()
         hot = int(np.argmax(rows_before))
@@ -218,26 +220,26 @@ class TestLiveSplit:
         assert sharded.rebalance_seconds > 0.0
         assert len(sharded.shard_update_counts) == 3
 
-    def test_snapshot_after_split_restores_everywhere(self, kind, router):
+    def test_snapshot_after_split_restores_everywhere(self, kind, layout):
         """The uneven post-split manifest restores onto any layout."""
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, 3, router=router)
+        sharded = ShardedBackend(kind, 3, router=LAYOUTS[layout](3))
         sharded.update_many(observations)
         sharded.split_shard(int(np.argmax(sharded.shard_row_counts())))
         state = sharded.snapshot()
         assert "router_state" in state
         expected = sharded.scores_for(peers)
-        # Onto a single shard, onto more shards than peers, onto the other
-        # router, and onto the very same (uneven) layout.
+        # Onto a single shard, onto more shards than peers, onto an even
+        # layout, and onto the very same (uneven) layout.
         targets = [
-            ShardedBackend(kind, 1, router=router),
-            ShardedBackend(kind, 64, router=router),
-            ShardedBackend(kind, 2, router="hash"),
+            ShardedBackend(kind, 1),
+            ShardedBackend(kind, 64),
+            ShardedBackend(kind, 2),
             ShardedBackend(
                 kind,
                 sharded.num_shards,
-                router=create_router(router, sharded.num_shards,
-                                     state=sharded.router.state()),
+                router=ShardRouter(sharded.num_shards,
+                                   state=sharded.router.state()),
             ),
         ]
         for target in targets:
@@ -247,8 +249,8 @@ class TestLiveSplit:
                 sharded.trust_decisions(peers), target.trust_decisions(peers)
             )
 
-    def test_restore_onto_more_shards_than_live_peers(self, kind, router):
-        sharded = ShardedBackend(kind, 2, router=router)
+    def test_restore_onto_more_shards_than_live_peers(self, kind, layout):
+        sharded = ShardedBackend(kind, 2, router=LAYOUTS[layout](2))
         sharded.update_many(
             [
                 TrustObservation("a", "b", False, timestamp=1.0,
@@ -256,14 +258,14 @@ class TestLiveSplit:
                 TrustObservation("b", "c", True, timestamp=2.0),
             ]
         )
-        wide = ShardedBackend(kind, 32, router=router)
+        wide = ShardedBackend(kind, 32)
         wide.restore(sharded.snapshot())
         queries = ("a", "b", "c", "nobody")
         np.testing.assert_array_equal(
             sharded.scores_for(queries), wide.scores_for(queries)
         )
         # Empty shards must snapshot and restore cleanly too.
-        again = ShardedBackend(kind, 1, router=router)
+        again = ShardedBackend(kind, 1)
         again.restore(wide.snapshot())
         np.testing.assert_array_equal(
             sharded.scores_for(queries), again.scores_for(queries)
@@ -274,7 +276,7 @@ class TestComplaintSplitIntegrity:
     def test_split_preserves_counts_log_and_reference(self):
         peers, observations = _observation_stream(seed=29)
         plain = create_backend("complaint")
-        sharded = ShardedBackend("complaint", 2, router="range")
+        sharded = ShardedBackend("complaint", 2)
         plain.update_many(observations)
         sharded.update_many(observations)
         sharded.split_shard(0)
@@ -304,17 +306,13 @@ class TestAutoRebalance:
         with pytest.raises(TrustModelError):
             RebalancePolicy(check_every=0)
 
-    def test_rebalance_requires_splittable_router(self):
-        with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 2, router="hash", rebalance=RebalancePolicy())
-
     def test_rebalance_rejects_non_policy(self):
         with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 2, router="range", rebalance="auto")
+            ShardedBackend("beta", 2, rebalance="auto")
 
     def test_create_backend_wraps_single_shard_for_rebalance(self):
         backend = create_backend(
-            "beta", shards=1, router="ring", rebalance=RebalancePolicy()
+            "beta", shards=1, rebalance=RebalancePolicy()
         )
         assert isinstance(backend, ShardedBackend)
         assert backend.num_shards == 1
@@ -326,7 +324,6 @@ class TestAutoRebalance:
         auto = create_backend(
             kind,
             shards=1,
-            router="ring",
             rebalance=RebalancePolicy(
                 threshold=1.5, split_rows=20, min_shard_rows=4, max_shards=12
             ),
@@ -349,7 +346,7 @@ class TestAutoRebalance:
         policy = RebalancePolicy(
             threshold=2.0, split_rows=16, min_shard_rows=4, max_shards=8
         )
-        auto = ShardedBackend("beta", 1, router="range", rebalance=policy)
+        auto = ShardedBackend("beta", 1, rebalance=policy)
         observations = [
             TrustObservation("obs", f"subject-{index:04d}", True,
                              timestamp=float(index))
@@ -368,15 +365,18 @@ class TestAutoRebalance:
                                      policy.min_shard_rows)
 
     def test_skew_trigger_balances_working_set(self):
-        # Ring routing with one point per shard starts lopsided by design;
-        # the skew trigger must drive the max share down to threshold/N.
+        # A lopsided initial layout; the skew trigger must drive the max
+        # share down to threshold/N.
         policy = RebalancePolicy(
             threshold=1.5, split_rows=None, min_shard_rows=8, max_shards=16,
             check_every=1
         )
-        # Four ring points put ~43% of the key space on one shard (1.74x
-        # the ideal quarter), so the skew trigger has real work to do.
-        auto = ShardedBackend("beta", 4, router="ring", rebalance=policy)
+        # Intervals of 1/2, 1/4, 1/8 and 1/8 of the key space put twice the
+        # ideal quarter on one shard, so the skew trigger has real work.
+        lopsided = ShardRouter(4, state=np.array(
+            [[0, 1 << 31, 3 << 30, 7 << 29], [0, 1, 2, 3]], dtype=np.int64
+        ))
+        auto = ShardedBackend("beta", 4, router=lopsided, rebalance=policy)
         observations = [
             TrustObservation("obs", f"member-{index:05d}", index % 3 != 0,
                              timestamp=float(index))
@@ -390,11 +390,11 @@ class TestAutoRebalance:
         assert share <= 2.0 / auto.num_shards
 
     def test_restore_does_not_trigger_splits(self):
-        source = ShardedBackend("complaint", 4, router="range")
+        source = ShardedBackend("complaint", 4)
         _, observations = _observation_stream(seed=5)
         source.update_many(observations)
         policy = RebalancePolicy(threshold=1.05, min_shard_rows=2, max_shards=32)
-        target = ShardedBackend("complaint", 2, router="range", rebalance=policy)
+        target = ShardedBackend("complaint", 2, rebalance=policy)
         target.restore(source.snapshot())
         assert target.rebalance_events == ()
         assert target.num_shards == 2
@@ -404,7 +404,7 @@ class TestAutoRebalance:
         import repro.trust.sharding as sharding_module
 
         peers, observations = _observation_stream()
-        sharded = ShardedBackend("beta", 2, router="range")
+        sharded = ShardedBackend("beta", 2)
         sharded.update_many(observations)
         expected = sharded.scores_for(peers)
 
@@ -426,7 +426,7 @@ class TestAutoRebalance:
     def test_unsplittable_signal_is_a_distinct_exception(self):
         from repro.trust import ShardSplitError
 
-        router = RangeShardRouter(2, state=np.array([[0, 1, 2], [0, 1, 0]],
+        router = ShardRouter(2, state=np.array([[0, 1, 2], [0, 1, 0]],
                                                     dtype=np.int64))
         with pytest.raises(ShardSplitError):
             router.split(1)  # owns only the width-1 interval [1, 2)
@@ -437,9 +437,9 @@ class TestAutoRebalance:
         # A resharded restore re-files evidence internally (the complaint
         # family routes its whole log through record_complaints); none of
         # that may read as routed update traffic.
-        source = ShardedBackend(kind, 4, router="range")
+        source = ShardedBackend(kind, 4)
         _, observations = _observation_stream(seed=9)
         source.update_many(observations)
-        target = ShardedBackend(kind, 2, router="ring")
+        target = ShardedBackend(kind, 2)
         target.restore(source.snapshot())
         assert target.shard_update_counts == (0, 0)

@@ -5,9 +5,11 @@ partitioning the peer-id space is invisible: updates, score queries,
 trust decisions, witness aggregation and snapshot round-trips (including
 re-sharding onto a different shard count) all produce *bit-identical*
 results to the plain backend.  These tests pin that contract for the
-``beta``, ``complaint`` and ``decay`` kinds at 1, 3 and 8 shards, all
-three router strategies (``hash``, ``range`` and the consistent-hash
-``ring``), plus the empty-shard and single-peer-shard edges.  Live
+``beta``, ``complaint`` and ``decay`` kinds at 1, 3 and 8 shards, on the
+default equal-width ``range`` layout, the uneven layout that live splits
+leave behind (``range-split``) and a layout where every shard owns two
+disjoint intervals (``range-interleaved``), each passed as a ready router
+object, plus the empty-shard and single-peer-shard edges.  Live
 splitting and rebalancing have their own contract in
 ``test_rebalance.py``.
 """
@@ -21,13 +23,10 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TrustModelError
 from repro.trust import (
-    ROUTER_NAMES,
-    HashShardRouter,
-    RangeShardRouter,
     ShardedBackend,
+    ShardRouter,
     TrustObservation,
     create_backend,
-    create_router,
 )
 from repro.trust.backend import BetaTrustBackend, ComplaintTrustBackend
 from repro.trust.evidence import Complaint
@@ -63,6 +62,25 @@ def _feed(backend, observations, batch=30):
         backend.update_many(observations[start:start + batch])
 
 
+#: Router layouts under test: equal-width intervals, a router grown to the
+#: shard count by successive splits from one shard (uneven widths), and
+#: ``2 * shards`` equal intervals owned round-robin (non-contiguous homes).
+LAYOUTS = ("range", "range-split", "range-interleaved")
+
+
+def _router(layout, shards):
+    """A fresh router for ``layout`` at ``shards`` shards."""
+    if layout == "range":
+        return ShardRouter(shards)
+    if layout == "range-interleaved":
+        even = ShardRouter(2 * shards).state()
+        return ShardRouter(shards, state=np.array([even[0], even[1] % shards]))
+    router = ShardRouter(1)
+    while router.num_shards < shards:
+        router.split(router.num_shards // 2)
+    return router
+
+
 def _query_ids(peers):
     # Mix known subjects, strangers and duplicates (gather must preserve
     # caller order, not just partition order).
@@ -71,12 +89,12 @@ def _query_ids(peers):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("router", ROUTER_NAMES)
+@pytest.mark.parametrize("router", LAYOUTS)
 class TestShardedEquivalence:
     def test_scores_and_decisions_bit_identical(self, kind, shards, router):
         peers, observations = _observation_stream()
         plain = create_backend(kind)
-        sharded = ShardedBackend(kind, shards, router=router)
+        sharded = ShardedBackend(kind, shards, router=_router(router, shards))
         _feed(plain, observations)
         _feed(sharded, observations)
         queries = _query_ids(peers)
@@ -94,7 +112,7 @@ class TestShardedEquivalence:
     def test_witness_aggregation_bit_identical(self, kind, shards, router):
         peers, observations = _observation_stream()
         plain = create_backend(kind)
-        sharded = ShardedBackend(kind, shards, router=router)
+        sharded = ShardedBackend(kind, shards, router=_router(router, shards))
         _feed(plain, observations)
         _feed(sharded, observations)
         queries = _query_ids(peers)
@@ -119,14 +137,14 @@ class TestShardedEquivalence:
 
     def test_snapshot_round_trip(self, kind, shards, router):
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, shards, router=router)
+        sharded = ShardedBackend(kind, shards, router=_router(router, shards))
         _feed(sharded, observations)
         state = sharded.snapshot()
         assert all(isinstance(value, np.ndarray) for value in state.values())
         assert len(state["manifest"]) == shards
         assert int(state["num_shards"][0]) == shards
 
-        restored = ShardedBackend(kind, shards, router=router)
+        restored = ShardedBackend(kind, shards, router=_router(router, shards))
         restored.restore(state)
         queries = _query_ids(peers)
         np.testing.assert_array_equal(
@@ -143,13 +161,13 @@ class TestShardedEquivalence:
     def test_restore_into_different_shard_count(self, kind, shards, router):
         """Re-sharding via the manifest must not drift any score."""
         peers, observations = _observation_stream()
-        sharded = ShardedBackend(kind, shards, router=router)
+        sharded = ShardedBackend(kind, shards, router=_router(router, shards))
         _feed(sharded, observations)
         state = sharded.snapshot()
         queries = _query_ids(peers)
         expected = sharded.scores_for(queries)
         for new_shards in (1, 2, 5):
-            resharded = ShardedBackend(kind, new_shards, router=router)
+            resharded = ShardedBackend(kind, new_shards, router=_router(router, new_shards))
             resharded.restore(state)
             np.testing.assert_array_equal(expected, resharded.scores_for(queries))
             np.testing.assert_array_equal(
@@ -201,19 +219,18 @@ class TestEdges:
 
 
 class TestRouters:
-    def test_routers_are_deterministic_and_in_range(self):
-        for name in ROUTER_NAMES:
-            router = create_router(name, 5)
-            again = create_router(name, 5)
-            for index in range(200):
-                shard = router.shard_of(f"peer-{index}")
-                assert 0 <= shard < 5
-                assert shard == again.shard_of(f"peer-{index}")
+    def test_router_is_deterministic_and_in_range(self):
+        router = ShardRouter(5)
+        again = ShardRouter(5)
+        for index in range(200):
+            shard = router.shard_of(f"peer-{index}")
+            assert 0 <= shard < 5
+            assert shard == again.shard_of(f"peer-{index}")
 
     def test_range_router_partitions_key_space_contiguously(self):
         from repro.trust.sharding import shard_key
 
-        router = RangeShardRouter(4)
+        router = ShardRouter(4)
         keys_by_shard = {}
         for index in range(400):
             peer = f"peer-{index}"
@@ -229,13 +246,9 @@ class TestRouters:
         for (_, high, _), (low, _, _) in zip(bounds, bounds[1:]):
             assert high < low
 
-    def test_unknown_router_rejected(self):
-        with pytest.raises(TrustModelError):
-            create_router("alphabetical", 4)
-
     def test_router_shard_count_mismatch_rejected(self):
         with pytest.raises(TrustModelError):
-            ShardedBackend("beta", 4, router=HashShardRouter(3))
+            ShardedBackend("beta", 4, router=ShardRouter(3))
 
 
 class TestFactoryAndGuards:

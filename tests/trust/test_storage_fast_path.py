@@ -1,20 +1,17 @@
-"""The million-peer fast path must be invisible to results.
+"""The backend fast path must be invisible to results.
 
-Four mechanisms are pinned here:
+Three mechanisms are pinned here:
 
-* **dirty-row score caching** (``cache_scores=True``, the default) must be
-  *bit-identical* to the uncached read path on every backend kind, sharded
-  and unsharded, under arbitrary interleavings of updates and queries —
-  the cache only skips recomputation, never changes it;
-* **compact storage** (``compact=True``) keeps beta-family scores within a
-  documented float32 accumulation tolerance of the float64 layout and is
-  exactly equal for the complaint backend (its counts are small integers,
-  exactly representable in float32);
+* **dirty-row score caching** must be *bit-identical* to the uncached
+  read path (``beliefs_for`` for the beta family, a fresh median over
+  ``metric_values_in_store`` for the complaint backend) on every backend
+  kind, sharded and unsharded, under arbitrary interleavings of updates
+  and queries — the cache only skips recomputation, never changes it;
 * **streaming snapshots** (``snapshot_items``/``restore_items``) must
-  round-trip across layouts — shard counts and compactness may differ
-  between writer and reader — without moving any score;
-* the **ChunkedArray** growth layer and the vectorized ``intern_many``
-  fast path behave exactly like their flat / sequential counterparts.
+  round-trip across layouts — shard counts and post-split boundary
+  tables may differ between writer and reader — without moving any score;
+* the vectorized ``intern_many`` fast path behaves exactly like its
+  sequential counterpart.
 """
 
 from __future__ import annotations
@@ -27,16 +24,14 @@ from hypothesis import strategies as st
 from repro.trust.backend import TrustObservation, create_backend
 from repro.trust.backend import _PeerIndex
 from repro.trust.sharding import ShardedBackend
-from repro.trust.storage import ChunkedArray
 
 KINDS = ("beta", "decay", "complaint")
-#: Documented tolerance of compact (float32) beta-family scores; scores are
-#: probabilities in [0, 1], so this is an absolute bound.
-COMPACT_SCORE_TOLERANCE = 1e-5
 
 SUBJECTS = tuple(f"s{i}" for i in range(6))
 
 # One event: (subject index, honest, weight, timestamp, files_complaint).
+# Streams are long enough for several write batches, so cached answers are
+# read across many invalidations (and the complaint median climbs past 1).
 event_streams = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=len(SUBJECTS) - 1),
@@ -45,7 +40,7 @@ event_streams = st.lists(
         st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
         st.booleans(),
     ),
-    min_size=0,
+    min_size=15,
     max_size=50,
 )
 
@@ -72,106 +67,73 @@ def _build(kind, shards, **params):
     return ShardedBackend(kind, shards, **params)
 
 
-def _drive_interleaved(backend, observations, chunk=7):
-    """Feed observations in chunks with queries between them.
-
-    Returns the concatenation of every intermediate query result — the
-    interleaving is what exercises dirty-row invalidation (queries between
-    writes populate the cache; the next write must invalidate exactly the
-    touched rows).
-    """
-    outputs = []
-    for start in range(0, len(observations) + 1, chunk):
-        batch = observations[start:start + chunk]
-        if batch:
-            backend.update_many(batch)
-        now = max((o.timestamp for o in observations[:start + chunk]), default=0.0)
-        outputs.append(backend.scores_for(SUBJECTS, now=now))
-        outputs.append(backend.scores_for(SUBJECTS[:2]))
-    return np.concatenate(outputs) if outputs else np.zeros(0)
+def _uncached_scores(reference, subjects, now):
+    """The score formula recomputed from raw evidence, bypassing every cache."""
+    if reference.name == "complaint":
+        metrics = reference.metrics_for(subjects)
+        in_store = reference.metric_values_in_store()
+        median = 0.0 if in_store.size == 0 else float(np.median(in_store))
+        return reference.scores_from_metrics(metrics, reference=median)
+    alpha, beta = reference.beliefs_for(subjects, now=now)
+    return alpha / (alpha + beta)
 
 
 class TestDirtyRowCacheBitIdentity:
+    """Warm-cache ``scores_for`` equals the uncached formula after every batch.
+
+    Queries between writes populate the cache, the next write must
+    invalidate exactly the touched rows, and (decay) a query at a new
+    ``now`` must never serve a score decayed to an older one.  A sharded
+    backend's cached per-shard answers are held to the same unsharded
+    reference.
+    """
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("shards", (1, 3))
     @settings(max_examples=40, deadline=None)
     @given(stream=event_streams)
-    def test_cached_equals_uncached(self, kind, shards, stream):
+    def test_warm_cache_equals_uncached_formula(self, kind, shards, stream):
         observations = _to_observations(stream)
-        cached = _build(kind, shards, cache_scores=True)
-        uncached = _build(kind, shards, cache_scores=False)
-        assert np.array_equal(
-            _drive_interleaved(cached, observations),
-            _drive_interleaved(uncached, observations),
-        )
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @settings(max_examples=25, deadline=None)
-    @given(stream=event_streams)
-    def test_cached_compact_equals_uncached_compact(self, kind, stream):
-        """The cache must also be exact on top of the compact layout."""
-        observations = _to_observations(stream)
-        cached = _build(kind, 1, compact=True, cache_scores=True)
-        uncached = _build(kind, 1, compact=True, cache_scores=False)
-        assert np.array_equal(
-            _drive_interleaved(cached, observations),
-            _drive_interleaved(uncached, observations),
-        )
+        # The balanced metric lets complained-about subjects move the
+        # community median, so a stale cached median would show.
+        params = {"metric_mode": "balanced"} if kind == "complaint" else {}
+        cached = _build(kind, shards, **params)
+        reference = create_backend(kind, **params)
+        for start in range(0, len(observations) + 1, 5):
+            batch = observations[start:start + 5]
+            cached.update_many(batch)
+            reference.update_many(batch)
+            latest = max((o.timestamp for o in observations[:start + 5]), default=0.0)
+            for now in (latest, None, latest + 25.0, latest):
+                for subjects in (SUBJECTS, SUBJECTS[:2]):
+                    # Twice: the first read fills the cache, the second hits it.
+                    for _ in range(2):
+                        assert np.array_equal(
+                            cached.scores_for(subjects, now=now),
+                            _uncached_scores(reference, subjects, now),
+                        )
 
     def test_decay_cache_tracks_now(self):
         """Changing ``now`` between queries must never serve stale decays."""
-        cached = create_backend("decay", cache_scores=True)
-        uncached = create_backend("decay", cache_scores=False)
-        for backend in (cached, uncached):
-            backend.update_many(
-                [
-                    TrustObservation("o", "s0", True, timestamp=0.0, weight=5.0),
-                    TrustObservation("o", "s1", False, timestamp=10.0, weight=2.0),
-                ]
-            )
+        backend = create_backend("decay")
+        backend.update_many(
+            [
+                TrustObservation("o", "s0", True, timestamp=0.0, weight=5.0),
+                TrustObservation("o", "s1", False, timestamp=10.0, weight=2.0),
+            ]
+        )
+        subjects = ("s0", "s1", "missing")
         for now in (10.0, 50.0, 50.0, 10.0, 200.0):
+            alpha, beta = backend.beliefs_for(subjects, now=now)
             assert np.array_equal(
-                cached.scores_for(("s0", "s1", "missing"), now=now),
-                uncached.scores_for(("s0", "s1", "missing"), now=now),
+                backend.scores_for(subjects, now=now), alpha / (alpha + beta)
             )
-
-
-class TestCompactTolerance:
-    @pytest.mark.parametrize("kind", ("beta", "decay"))
-    @pytest.mark.parametrize("shards", (1, 3))
-    @settings(max_examples=30, deadline=None)
-    @given(stream=event_streams)
-    def test_beta_family_within_tolerance(self, kind, shards, stream):
-        observations = _to_observations(stream)
-        compact = _build(kind, shards, compact=True)
-        default = _build(kind, shards)
-        delta = np.abs(
-            _drive_interleaved(compact, observations)
-            - _drive_interleaved(default, observations)
-        )
-        assert delta.size == 0 or float(delta.max()) <= COMPACT_SCORE_TOLERANCE
-
-    @pytest.mark.parametrize("shards", (1, 3))
-    @settings(max_examples=30, deadline=None)
-    @given(stream=event_streams)
-    def test_complaint_is_exact(self, shards, stream):
-        """Complaint counts are small integers: float32 holds them exactly."""
-        observations = _to_observations(stream)
-        compact = _build("complaint", shards, compact=True)
-        default = _build("complaint", shards)
-        assert np.array_equal(
-            _drive_interleaved(compact, observations),
-            _drive_interleaved(default, observations),
-        )
-        assert np.array_equal(
-            compact.trust_decisions(SUBJECTS), default.trust_decisions(SUBJECTS)
-        )
 
 
 class TestStreamingSnapshots:
     @pytest.mark.parametrize("kind", KINDS)
     def test_items_match_snapshot(self, kind):
-        backend = create_backend(kind, compact=True)
+        backend = create_backend(kind)
         backend.update_many(_to_observations([(0, True, 2.0, 1.0, False),
                                               (1, False, 1.0, 2.0, True)]))
         streamed = dict(backend.snapshot_items())
@@ -186,17 +148,35 @@ class TestStreamingSnapshots:
     @pytest.mark.parametrize(
         "source_shards,target_shards", ((1, 1), (4, 4), (4, 2), (2, 4))
     )
-    @pytest.mark.parametrize("target_compact", (False, True))
-    def test_roundtrip_across_layouts(
-        self, kind, source_shards, target_shards, target_compact
-    ):
+    def test_roundtrip_across_layouts(self, kind, source_shards, target_shards):
         observations = _to_observations(
             [(i % len(SUBJECTS), i % 3 != 0, 1.0 + i, float(i), i % 4 == 0)
              for i in range(40)]
         )
-        source = _build(kind, source_shards, compact=True)
+        source = _build(kind, source_shards)
         source.update_many(observations)
-        target = _build(kind, target_shards, compact=target_compact)
+        target = _build(kind, target_shards)
+        target.restore_items(iter(source.snapshot_items()))
+        now = 39.0
+        assert np.array_equal(
+            source.scores_for(SUBJECTS, now=now),
+            target.scores_for(SUBJECTS, now=now),
+        )
+        assert sorted(source.known_subjects()) == sorted(target.known_subjects())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("target_shards", (5, 4, 2))
+    def test_roundtrip_from_split_layout(self, kind, target_shards):
+        """An uneven post-split layout streams onto even layouts."""
+        observations = _to_observations(
+            [(i % len(SUBJECTS), i % 3 != 0, 1.0 + i, float(i), i % 4 == 0)
+             for i in range(40)]
+        )
+        source = _build(kind, 4)
+        source.update_many(observations)
+        source.split_shard(0)
+        target = _build(kind, target_shards)
+        assert not target.router.same_layout(source.router)
         target.restore_items(iter(source.snapshot_items()))
         now = 39.0
         assert np.array_equal(
@@ -228,54 +208,6 @@ class TestStreamingSnapshots:
         assert np.array_equal(
             source.scores_for(SUBJECTS), target.scores_for(SUBJECTS)
         )
-
-
-class TestChunkedArray:
-    def test_growth_crosses_chunk_boundaries(self):
-        array = ChunkedArray(np.float64, chunk_size=8)
-        array.ensure(20)
-        idx = np.arange(20, dtype=np.int64)
-        array.scatter_add(idx, np.ones(20))
-        array.scatter_add(np.array([3, 9, 17], dtype=np.int64), np.full(3, 0.5))
-        flat = array.materialize(20, np.float64)
-        expected = np.ones(20)
-        expected[[3, 9, 17]] += 0.5
-        assert np.array_equal(flat, expected)
-
-    def test_scatter_ops_match_flat(self):
-        rng = np.random.default_rng(3)
-        flat = np.zeros(50)
-        chunked = ChunkedArray(np.float64, chunk_size=16)
-        chunked.ensure(50)
-        for _ in range(10):
-            idx = rng.integers(0, 50, 12)
-            values = rng.normal(size=12)
-            np.add.at(flat, idx, values)
-            chunked.scatter_add(idx.astype(np.int64), values)
-        assert np.array_equal(chunked.materialize(50, np.float64), flat)
-        idx = rng.integers(0, 50, 12).astype(np.int64)
-        values = rng.normal(size=12)
-        np.maximum.at(flat, idx, values)
-        chunked.scatter_max(idx, values)
-        assert np.array_equal(chunked.materialize(50, np.float64), flat)
-        assert np.array_equal(chunked.gather(idx), flat[idx])
-
-    def test_empty_index_operations_are_noops(self):
-        array = ChunkedArray(np.float64, chunk_size=8)
-        array.ensure(4)
-        empty = np.zeros(0, dtype=np.int64)
-        array.scatter_add(empty, np.zeros(0))
-        array.scatter_max(empty, np.zeros(0))
-        array.scatter_set(empty, np.zeros(0))
-        assert np.array_equal(array.gather(empty), np.zeros(0))
-
-    def test_nbytes_stays_chunked(self):
-        """Growth allocates per chunk — no whole-table copy, bounded slack."""
-        array = ChunkedArray(np.float32, chunk_size=1 << 10)
-        array.ensure(5_000)
-        # Five chunks of 1Ki float32 = 20 KiB; a doubling flat array would
-        # have jumped to 8Ki entries (32 KiB).
-        assert array.nbytes() == 5 * (1 << 10) * 4
 
 
 class TestInternMany:

@@ -99,12 +99,12 @@ def test_rebalance_split_is_worker_handoff():
     policy = RebalancePolicy(split_rows=24, max_shards=6)
     obs = observations(5, complaints=False)
     reference = create_backend(
-        "beta", shards=2, router="range", rebalance=policy
+        "beta", shards=2, rebalance=policy
     )
     reference.update_many(obs)
     assert reference.num_shards > 2  # the stream actually forced splits
     with loopback(
-        "beta", shards=2, router="range", rebalance=policy
+        "beta", shards=2, rebalance=policy
     ) as backend:
         backend.update_many(obs)
         assert backend.num_shards == reference.num_shards
@@ -212,14 +212,3 @@ def test_process_transport_end_to_end():
     assert np.array_equal(
         replica.scores_for(PEERS), reference.scores_for(PEERS)
     )
-
-
-def test_compact_layout_within_float32_tolerance():
-    obs = observations(9, complaints=False)
-    reference = create_backend("beta", shards=4, compact=True)
-    reference.update_many(obs)
-    with loopback("beta", shards=4, compact=True) as backend:
-        backend.update_many(obs)
-        np.testing.assert_allclose(
-            backend.scores_for(PEERS), reference.scores_for(PEERS), rtol=1e-5
-        )
