@@ -31,7 +31,9 @@ bench:
 # Cheap guard that every benchmark still runs: tiny parameters via
 # REPRO_BENCH_SMOKE, one pass, fail fast.  Keeps benchmarks from silently
 # rotting without paying the full measurement cost.  This includes the
-# enforced acceptance bars: backend batching speedups, sharding overhead
+# enforced acceptance bars: backend batching speedups, the exchange-core
+# state-profile speedup (bench_exchange_core: >= 2x over the ExchangeState
+# replay, identical results), sharding overhead
 # (bench_sharded_backend), live-rebalance balance and split-pause bars
 # (bench_shard_rebalance: max shard share <= 2/N after auto splits at
 # < 10% pause cost), the evidence-repair convergence/overhead bars

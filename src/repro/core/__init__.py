@@ -23,6 +23,7 @@ from repro.core.exchange import (
     ExchangeSequence,
     ExchangeState,
     Role,
+    StateProfile,
 )
 from repro.core.gametheory import (
     EquilibriumResult,
@@ -92,6 +93,7 @@ __all__ = [
     "ExchangeAction",
     "ExchangeState",
     "ExchangeSequence",
+    "StateProfile",
     # safety
     "ExchangeRequirements",
     "StateVerdict",

@@ -16,13 +16,18 @@ quantities the safety analysis revolves around are derived:
 * the *consumer's temptation* to defect, ``remaining_payment - Vc(remaining)``
   (positive when the outstanding payment exceeds the value still to be
   received).
+
+:class:`ExchangeState` and :meth:`ExchangeSequence.states` are the readable
+reference model.  The runtime reads a sequence through its
+:class:`StateProfile` instead: one walk over the schedule, computed on first
+use and cached, that yields the same quantities for every state bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.goods import Good, GoodsBundle
 from repro.core.numeric import EPSILON, approx_eq, non_negative, total
@@ -33,6 +38,7 @@ __all__ = [
     "ActionKind",
     "ExchangeAction",
     "ExchangeState",
+    "StateProfile",
     "ExchangeSequence",
 ]
 
@@ -250,6 +256,23 @@ class ExchangeState:
         return self.consumer_temptation
 
 
+class StateProfile(NamedTuple):
+    """Per-state quantities of one schedule, as parallel columns.
+
+    Entry ``i`` of every column describes the state after the first ``i``
+    actions (entry 0 is the initial state), and equals the matching
+    :class:`ExchangeState` property of ``list(sequence.states())[i]`` bit
+    for bit.
+    """
+
+    supplier_temptation: Tuple[float, ...]
+    consumer_temptation: Tuple[float, ...]
+    supplier_utility: Tuple[float, ...]
+    consumer_utility: Tuple[float, ...]
+    paid: Tuple[float, ...]
+    delivered: Tuple[int, ...]
+
+
 class ExchangeSequence:
     """A complete schedule of deliveries and payments for one exchange.
 
@@ -258,7 +281,7 @@ class ExchangeSequence:
     payments must add up to the agreed price.
     """
 
-    __slots__ = ("_bundle", "_price", "_actions")
+    __slots__ = ("_bundle", "_price", "_actions", "_profile")
 
     def __init__(
         self,
@@ -270,6 +293,7 @@ class ExchangeSequence:
         self._price = float(price)
         self._actions: Tuple[ExchangeAction, ...] = tuple(actions)
         self._validate()
+        self._profile: Optional[StateProfile] = None
 
     def _validate(self) -> None:
         if self._price < 0:
@@ -373,14 +397,77 @@ class ExchangeSequence:
         return state
 
     @property
+    def profile(self) -> StateProfile:
+        """The schedule's :class:`StateProfile`, walked once and cached.
+
+        Raises :class:`InvalidActionError` when a payment overshoots the
+        price by more than ``EPSILON`` mid-schedule, as
+        :meth:`ExchangeState.apply` does (construction only checks the sum
+        to within 1e-6).
+        """
+        if self._profile is None:
+            self._profile = self._walk()
+        return self._profile
+
+    def _walk(self) -> StateProfile:
+        # Mirrors the ExchangeState arithmetic exactly: every sum is a fresh
+        # ``total`` over the goods in bundle order (never a running
+        # difference), so each column matches the reference replay bit for
+        # bit.  The sums only change on deliveries.
+        goods = self._bundle.goods
+        costs = [good.supplier_cost for good in goods]
+        values = [good.consumer_value for good in goods]
+        position = {good.good_id: index for index, good in enumerate(goods)}
+        is_delivered = [False] * len(goods)
+        price = self._price
+        paid = 0.0
+        delivered = 0
+        remaining_cost = total(costs)
+        remaining_value = total(values)
+        delivered_cost = delivered_value = 0.0
+        rows: List[Tuple[float, float, float, float, float, int]] = []
+        # ``None`` stands for the initial state, before any action.
+        for action in (None, *self._actions):
+            if action is None:
+                pass
+            elif action.kind is ActionKind.DELIVER:
+                is_delivered[position[action.good_id]] = True
+                delivered += 1
+                flags = list(zip(is_delivered, costs, values))
+                remaining_cost = total(c for d, c, _ in flags if not d)
+                remaining_value = total(v for d, _, v in flags if not d)
+                delivered_cost = total(c for d, c, _ in flags if d)
+                delivered_value = total(v for d, _, v in flags if d)
+            else:
+                new_paid = paid + action.amount
+                if new_paid > price + EPSILON:
+                    raise InvalidActionError(
+                        f"payment of {action.amount:.3f} exceeds the outstanding "
+                        f"amount ({non_negative(price - paid):.3f})"
+                    )
+                paid = min(new_paid, price)
+            remaining_payment = non_negative(price - paid)
+            rows.append(
+                (
+                    remaining_cost - remaining_payment,
+                    remaining_payment - remaining_value,
+                    paid - delivered_cost,
+                    delivered_value - paid,
+                    paid,
+                    delivered,
+                )
+            )
+        return StateProfile(*zip(*rows))
+
+    @property
     def max_supplier_temptation(self) -> float:
         """Largest supplier temptation reached anywhere in the schedule."""
-        return max(state.supplier_temptation for state in self.states())
+        return max(self.profile.supplier_temptation)
 
     @property
     def max_consumer_temptation(self) -> float:
         """Largest consumer temptation reached anywhere in the schedule."""
-        return max(state.consumer_temptation for state in self.states())
+        return max(self.profile.consumer_temptation)
 
     def describe(self) -> str:
         """Multi-line human readable rendering of the schedule."""

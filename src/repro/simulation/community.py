@@ -255,6 +255,8 @@ class CommunitySimulation:
         if len(peers) < 2:
             raise SimulationError("a community needs at least two peers")
         self._peers: List[CommunityPeer] = list(peers)
+        #: ``peer_id -> peer`` over ``self._peers``; rebuilt after churn.
+        self._by_id: Dict[str, CommunityPeer] = self._index_peers()
         self._strategy = strategy
         self._config = config if config is not None else CommunityConfig()
         self._churn = churn
@@ -305,10 +307,13 @@ class CommunitySimulation:
         return self._evidence
 
     def peer_by_id(self, peer_id: str) -> CommunityPeer:
-        for peer in self._peers:
-            if peer.peer_id == peer_id:
-                return peer
-        raise SimulationError(f"unknown peer {peer_id!r}")
+        try:
+            return self._by_id[peer_id]
+        except KeyError:
+            raise SimulationError(f"unknown peer {peer_id!r}") from None
+
+    def _index_peers(self) -> Dict[str, CommunityPeer]:
+        return {peer.peer_id: peer for peer in self._peers}
 
     # ------------------------------------------------------------------
     # Running
@@ -378,16 +383,15 @@ class CommunitySimulation:
         if self._churn is None or not self._churn.is_active:
             return None
         factory = self._peer_factory or (lambda _index: None)  # pragma: no cover
-        by_id = {peer.peer_id: peer for peer in self._peers}
         event = self._churn.apply(
             self._peers, round_index, self._streams("churn"), factory
         )
         for peer_id in event.departed:
-            self._departed_peers.append(by_id[peer_id])
+            self._departed_peers.append(self._by_id[peer_id])
             self._evidence.unregister_peer(peer_id)
-        for peer in self._peers:
-            if peer.peer_id in event.arrived:
-                self._evidence.register_peer(peer)
+        self._by_id = self._index_peers()
+        for peer_id in event.arrived:
+            self._evidence.register_peer(self._by_id[peer_id])
         return event
 
     def _build_listings(self, round_index: int) -> List[Listing]:
@@ -418,20 +422,20 @@ class CommunitySimulation:
         if self._config.matching == "trust":
             now = float(round_index)
             supplier_ids = sorted({listing.supplier_id for listing in listings})
+            column = {
+                supplier_id: index for index, supplier_id in enumerate(supplier_ids)
+            }
             # One vectorized backend read per consumer instead of one scalar
             # trust lookup per (consumer, listing) pair.
-            cached: Dict[str, Dict[str, float]] = {}
-            for consumer_id in consumer_ids:
-                scores = self.peer_by_id(consumer_id).trust_in_many(
-                    supplier_ids, now=now
-                )
-                cached[consumer_id] = {
-                    supplier_id: float(score)
-                    for supplier_id, score in zip(supplier_ids, scores)
-                }
+            rows: Dict[str, List[float]] = {
+                consumer_id: self.peer_by_id(consumer_id)
+                .trust_in_many(supplier_ids, now=now)
+                .tolist()
+                for consumer_id in consumer_ids
+            }
 
             def trust_of(consumer_id: str, supplier_id: str) -> float:
-                return cached[consumer_id][supplier_id]
+                return rows[consumer_id][column[supplier_id]]
 
             return trust_weighted_matching(consumer_ids, listings, trust_of, rng)
         return random_matching(consumer_ids, listings, rng)
