@@ -187,8 +187,11 @@ class EvidencePlane:
         self._repair_rng = (
             repair_rng if repair_rng is not None else random.Random(1)
         )
-        #: Monotone per-origin sequence counters for entry naming.
+        #: Monotone per-origin sequence counters for entry naming: one for
+        #: journaled evidence, one for transient (witness) traffic, so the
+        #: journaled seqs of every origin stay dense.
         self._seq: Dict[str, int] = {}
+        self._transient_seq: Dict[str, int] = {}
         #: Per-holder journals (only maintained for journaling policies).
         self._journals: Dict[str, EvidenceJournal] = {}
         #: Keys of persistent entries already applied (dedup guard).
@@ -511,8 +514,8 @@ class EvidencePlane:
         payload,
         transient: bool = False,
     ) -> EvidenceEntry:
-        seq = self._seq.get(origin_id, 0) + 1
-        self._seq[origin_id] = seq
+        counter = self._transient_seq if transient else self._seq
+        seq = counter[origin_id] = counter.get(origin_id, 0) + 1
         assert self._engine is not None and self._network is not None
         entry = EvidenceEntry(
             origin_id=origin_id,
@@ -572,36 +575,34 @@ class EvidencePlane:
             entry.origin_id, entry.recipient_id, entry, kind=entry.kind
         )
 
-    def ingest_entry(
-        self, holder_id: str, entry: EvidenceEntry, now: float
+    def ingest_entries(
+        self, holder_id: str, entries: Sequence[EvidenceEntry], now: float
     ) -> None:
-        """Fold a gossip-relayed entry into ``holder_id``'s journal.
+        """Fold a batch of gossip-relayed entries into ``holder_id``'s journal.
 
-        The holder stores (and will relay) the entry regardless of who it is
-        addressed to; it is *applied* only when the holder is the recipient
-        (or, for complaint entries, forwarded to the sink so the filing pays
-        the same network path every direct complaint does).
+        The holder stores (and will relay) every entry regardless of who it
+        is addressed to; an entry is *applied* only when the holder is its
+        recipient (or, for complaint entries, forwarded to the sink so the
+        filing pays the same network path every direct complaint does).
+        Entries the journal already holds count as ``duplicates_suppressed``.
         """
-        if entry.transient:
-            return
-        counters = self._network.counters if self._network is not None else None
-        fresh = self.journal_for(holder_id).add(entry)
-        if not fresh:
-            if counters is not None:
-                counters.duplicates_suppressed += 1
-            return
-        if entry.recipient_id == holder_id:
-            self._apply_entry(entry, now)
-        elif (
-            entry.recipient_id == COMPLAINT_SINK
-            and entry.key not in self._applied
-        ):
-            # A relayed complaint is forwarded to the community store by the
-            # first holder to learn of it — through the network, so a
-            # partitioned holder still cannot reach the store until heal.
-            self.repair_send(
-                holder_id, COMPLAINT_SINK, entry, kind=entry.kind
-            )
+        assert self._network is not None
+        fresh = self.journal_for(holder_id).add_many(entries)
+        self._network.counters.duplicates_suppressed += len(entries) - len(fresh)
+        for entry in fresh:
+            if entry.recipient_id == holder_id:
+                self._apply_entry(entry, now)
+            elif (
+                entry.recipient_id == COMPLAINT_SINK
+                and entry.key not in self._applied
+            ):
+                # A relayed complaint is forwarded to the community store by
+                # the first holder to learn of it — through the network, so
+                # a partitioned holder still cannot reach the store until
+                # heal.
+                self.repair_send(
+                    holder_id, COMPLAINT_SINK, entry, kind=entry.kind
+                )
 
     # ------------------------------------------------------------------
     # Message handling (async deliveries)

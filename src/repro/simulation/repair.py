@@ -6,12 +6,18 @@ convergence.  This module turns loss back into a latency problem.  Every
 piece of evidence entering the async plane is wrapped in an
 :class:`EvidenceEntry` stamped with a per-origin sequence number, so the
 whole community shares one global naming scheme ``(origin_peer, seq)`` for
-evidence units.  On top of that identity three mechanisms compose:
+evidence units.  Transient request/reply traffic (witness polling) is
+numbered from its own per-origin counter, apart from the journaled
+evidence, so every origin's journaled entries are numbered densely
+``1, 2, 3, ...`` and a witness message never leaves a permanent hole in
+anyone's journal.  On top of that identity three mechanisms compose:
 
 * an append-only :class:`EvidenceJournal` per peer storing every entry the
   peer has originated or learned of, summarised by a compact per-origin
-  digest (highest contiguous sequence number + explicit holes set), so two
-  peers can compare what they know in one small message;
+  digest (highest contiguous sequence number + explicit extras beyond it,
+  near-empty once a peer has caught up), so two peers can compare what
+  they know in one small message, and the comparison walks only the delta
+  between the two digests;
 * a pluggable :class:`RepairPolicy` — ``off`` (today's fire-and-forget),
   ``retransmit`` (recipients ack every delivered entry, origins re-send
   unacked entries with capped exponential backoff), and ``gossip``
@@ -41,7 +47,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Tuple,
+)
 
 from repro.exceptions import SimulationError
 
@@ -66,6 +81,9 @@ REPAIR_POLICIES = ("off", "retransmit", "gossip")
 #: A per-origin digest: (highest contiguous seq, explicit extras beyond it).
 Digest = Tuple[int, frozenset]
 
+#: The digest of an origin a partner has never heard of.
+_EMPTY: Digest = (0, frozenset())
+
 
 @dataclass(frozen=True)
 class EvidenceEntry:
@@ -77,7 +95,9 @@ class EvidenceEntry:
     origin's monotone counter, so the pair is a community-wide unique,
     gap-detectable name.  ``transient`` marks request/reply traffic (witness
     polling) that is acked and deduped but never journaled or gossiped —
-    a stale witness reply is not evidence worth replicating.
+    a stale witness reply is not evidence worth replicating.  Transient
+    entries are numbered from a separate per-origin counter, and their
+    :attr:`key` negates the seq so the two numberings never collide.
     """
 
     origin_id: str
@@ -90,7 +110,7 @@ class EvidenceEntry:
 
     @property
     def key(self) -> Tuple[str, int]:
-        return (self.origin_id, self.seq)
+        return (self.origin_id, -self.seq if self.transient else self.seq)
 
 
 class SequenceTracker:
@@ -146,10 +166,12 @@ class EvidenceJournal:
     """Append-only store of the evidence entries one peer knows about.
 
     Holds the entries themselves (so the peer can answer pull requests and
-    relay third-party evidence onward) plus one :class:`SequenceTracker` per
-    origin.  ``digest()`` summarises the whole journal for an anti-entropy
-    exchange; ``entries_missing_from`` / ``is_missing_any`` are the two
-    sides of the digest comparison.
+    relay third-party evidence onward), keyed ``(origin, seq)``, plus one
+    :class:`SequenceTracker` per origin.  Only persistent entries are
+    journaled; transient ones are numbered apart and never stored here.
+    ``digest()`` summarises the whole journal for an anti-entropy exchange;
+    ``entries_missing_from`` / ``is_missing_any`` are the two sides of the
+    digest comparison.
     """
 
     def __init__(self) -> None:
@@ -171,13 +193,30 @@ class EvidenceJournal:
 
     def add(self, entry: EvidenceEntry) -> bool:
         """Store an entry; returns ``False`` when it was already journaled."""
-        tracker = self._trackers.get(entry.origin_id)
-        if tracker is None:
-            tracker = self._trackers[entry.origin_id] = SequenceTracker()
-        if not tracker.add(entry.seq):
-            return False
-        self._entries[entry.key] = entry
-        return True
+        return bool(self.add_many((entry,)))
+
+    def add_many(self, entries: Iterable[EvidenceEntry]) -> List[EvidenceEntry]:
+        """Store a batch of entries; returns the fresh ones, in batch order.
+
+        Equivalent to calling :meth:`add` on each entry in turn; an entry
+        already journaled (or repeated within the batch) is skipped with an
+        inline tracker check before any per-entry method call.
+        """
+        trackers = self._trackers
+        stored = self._entries
+        fresh: List[EvidenceEntry] = []
+        for entry in entries:
+            origin = entry.origin_id
+            seq = entry.seq
+            tracker = trackers.get(origin)
+            if tracker is None:
+                tracker = trackers[origin] = SequenceTracker()
+            elif seq <= tracker.contiguous or seq in tracker.extras:
+                continue
+            tracker.add(seq)
+            stored[(origin, seq)] = entry
+            fresh.append(entry)
+        return fresh
 
     def digest(self) -> Dict[str, Digest]:
         """Compact per-origin summary of everything this journal holds."""
@@ -194,23 +233,20 @@ class EvidenceJournal:
         Returned in deterministic ``(origin, seq)`` order — the push half of
         an anti-entropy exchange.
         """
+        entries = self._entries
         missing: List[EvidenceEntry] = []
         for origin in sorted(self._trackers):
             tracker = self._trackers[origin]
-            theirs = their_digest.get(origin)
-            if theirs is not None:
-                their_contiguous, their_extras = theirs
-                # Fast path for the converged steady state: when the
-                # partner's digest covers this whole origin, skip the
-                # per-seq scan (O(extras) instead of O(known seqs)).
-                if tracker.contiguous <= their_contiguous and all(
-                    seq <= their_contiguous or seq in their_extras
-                    for seq in tracker.extras
-                ):
-                    continue
-            for seq in tracker.known_seqs():
-                if theirs is None or not SequenceTracker.covers(theirs, seq):
-                    missing.append(self._entries[(origin, seq)])
+            their_contiguous, their_extras = their_digest.get(origin, _EMPTY)
+            # Everything up to their contiguous prefix is covered, so only
+            # the delta beyond it is walked: the rest of our prefix, then
+            # our extras (all of which lie above our prefix).
+            for seq in range(their_contiguous + 1, tracker.contiguous + 1):
+                if seq not in their_extras:
+                    missing.append(entries[(origin, seq)])
+            for seq in sorted(tracker.extras):
+                if seq > their_contiguous and seq not in their_extras:
+                    missing.append(entries[(origin, seq)])
         return missing
 
     def is_missing_any(self, their_digest: Mapping[str, Digest]) -> bool:
@@ -340,8 +376,11 @@ class RetransmitPolicy(RepairPolicy):
             self._pending.pop(key, None)
 
     def on_round(self, now: float) -> None:
-        for key in sorted(self._pending):
-            state = self._pending[key]
+        # Resend origin by origin, each origin's entries in emission order
+        # (``_pending`` is insertion-ordered and the sort is stable).
+        for state in sorted(
+            self._pending.values(), key=lambda state: state.entry.origin_id
+        ):
             if state.deadline > now:
                 continue
             self._plane.resend_entry(state.entry)
@@ -437,8 +476,7 @@ class GossipPolicy(RepairPolicy):
                 )
         elif message.kind == "repair-entries":
             sender_id, entries, their_digest = message.payload
-            for entry in entries:
-                plane.ingest_entry(holder_id, entry, now)
+            plane.ingest_entries(holder_id, entries, now)
             if their_digest is not None:
                 push_back = journal.entries_missing_from(their_digest)
                 if push_back:

@@ -3,12 +3,20 @@
 Every line of the run summary except ``Backend:`` and ``Shard rebalance:``
 (which describe the deployment, not the outcome) is pinned byte for byte
 for all registered scenarios, at the CLI defaults, in a sharded,
-auto-rebalanced layout, in a static sharded layout, and with every peer on
-the decay backend over an auto-rebalanced store.  The golden file was
+auto-rebalanced layout, in a static sharded layout, with every peer on
+the decay backend over an auto-rebalanced store, and on a lossy async
+evidence plane under gossip and under retransmit repair.  The golden file was
 generated before the backend layout knobs were narrowed to the shared
 complaint store, when the sharded layouts were routed by ``range``,
 ``ring``, and ``ring`` respectively, so it also pins that the narrowing
 and the single range router left every outcome unchanged.
+
+The ``async-gossip`` and ``async-retransmit`` layouts (async evidence at
+20% loss, two witnesses, gossip or retransmit repair) were generated
+before witness traffic got its own sequence numbering apart from the
+journaled evidence, so they pin that the renumbering, the delta-only
+digest comparison and the batched repair ingest left every outcome
+unchanged.
 
 Regenerate (only for an announced behaviour change) with::
 
@@ -34,6 +42,14 @@ LAYOUTS = {
     "sharded": ["--shards", "4", "--rebalance", "auto"],
     "static": ["--shards", "4"],
     "decay-rebalanced": ["--backend", "decay", "--shards", "3", "--rebalance", "auto"],
+    "async-gossip": [
+        "--evidence-mode", "async", "--evidence-loss", "0.2",
+        "--evidence-repair", "gossip", "--witnesses", "2",
+    ],
+    "async-retransmit": [
+        "--evidence-mode", "async", "--evidence-loss", "0.2",
+        "--evidence-repair", "retransmit", "--witnesses", "2",
+    ],
 }
 
 #: Summary lines that describe the deployment rather than the outcome.

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
+from repro.obs import EvidenceAuditTrail, collect_audit_inputs, reconcile
 from repro.baselines import GoodsFirstStrategy
 from repro.marketplace.strategy import TrustAwareStrategy
 from repro.reputation.manager import TrustMethod
@@ -34,6 +35,7 @@ from repro.simulation.repair import (
     create_repair_policy,
 )
 from repro.workloads import build_scenario
+from repro.workloads.registry import build_registered_scenario
 
 
 def _record(supplier="s", consumer="c", supplier_honest=True, consumer_honest=True,
@@ -154,6 +156,182 @@ class TestEvidenceJournal:
         assert journal_a.digest() == journal_b.digest()
         assert not journal_a.is_missing_any(journal_b.digest())
         assert not journal_b.is_missing_any(journal_a.digest())
+
+
+def _seq_sets(max_seq):
+    """Per-origin seq sets: a dense prefix plus scattered seqs beyond it."""
+    seqs = st.builds(
+        lambda prefix, scattered: set(range(1, prefix + 1)) | scattered,
+        st.integers(0, max_seq),
+        st.sets(st.integers(1, max_seq)),
+    )
+    return st.dictionaries(st.sampled_from("abcd"), seqs, max_size=4)
+
+
+def _journal_of(known):
+    journal = EvidenceJournal()
+    for origin in sorted(known):
+        for seq in sorted(known[origin]):
+            journal.add(_entry(origin, seq))
+    return journal
+
+
+def _digest_of(known):
+    digest = {}
+    for origin, seqs in known.items():
+        tracker = SequenceTracker()
+        for seq in seqs:
+            tracker.add(seq)
+        digest[origin] = tracker.digest()
+    return digest
+
+
+def _covered(digest, origin):
+    contiguous, extras = digest.get(origin, (0, frozenset()))
+    return set(range(1, contiguous + 1)) | set(extras)
+
+
+class TestJournalDeltaComparison:
+    """The delta walk agrees with a brute-force walk over every known seq."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_seq_sets(15), _seq_sets(20))
+    def test_comparison_matches_brute_force(self, mine, theirs):
+        # Partner seqs range past ours (digests ahead of ours) and ours
+        # past theirs (behind); either side may lack an origin entirely.
+        journal = _journal_of(mine)
+        digest = _digest_of(theirs)
+        expected_push = [
+            (origin, seq)
+            for origin in sorted(mine)
+            for seq in sorted(mine[origin])
+            if seq not in _covered(digest, origin)
+        ]
+        assert [
+            entry.key for entry in journal.entries_missing_from(digest)
+        ] == expected_push
+        expected_pull = any(
+            seq not in mine.get(origin, set())
+            for origin in digest
+            for seq in _covered(digest, origin)
+        )
+        assert journal.is_missing_any(digest) == expected_pull
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _seq_sets(10),
+        st.lists(
+            st.tuples(st.sampled_from("abcde"), st.integers(1, 12)), max_size=40
+        ),
+    )
+    def test_add_many_equals_sequential_add(self, seeded, batch):
+        # Reference: one-at-a-time adds into a plain set of known keys.
+        known = {(origin, seq) for origin, seqs in seeded.items() for seq in seqs}
+        expected_fresh = []
+        for origin, seq in batch:
+            if (origin, seq) not in known:
+                known.add((origin, seq))
+                expected_fresh.append((origin, seq))
+        journal = _journal_of(seeded)
+        before = journal.keys()
+        fresh = journal.add_many([_entry(origin, seq) for origin, seq in batch])
+        # The fresh entries fix the duplicate count too: the rest of the batch.
+        assert [entry.key for entry in fresh] == expected_fresh
+        assert journal.keys() == before + tuple(expected_fresh)
+        by_origin = {}
+        for origin, seq in known:
+            by_origin.setdefault(origin, set()).add(seq)
+        assert journal.digest() == _digest_of(by_origin)
+
+
+class TestTransientNumbering:
+    """Witness traffic is numbered apart from journaled evidence."""
+
+    def test_transient_and_persistent_keys_never_collide(self):
+        persistent = _entry("a", 1)
+        transient = dataclasses.replace(persistent, transient=True)
+        assert persistent.key == ("a", 1)
+        assert transient.key != persistent.key
+
+    def test_witness_ack_does_not_settle_persistent_entry(self):
+        policy = create_repair_policy("retransmit")
+        persistent = _entry("a", 1)
+        transient = dataclasses.replace(
+            persistent, kind="witness-request", transient=True
+        )
+        policy.on_emit(persistent, 0.0)
+        policy.on_emit(transient, 0.0)
+        policy.on_ack((transient.key,))
+        assert list(policy._pending) == [persistent.key]
+
+    def test_retransmit_resends_by_origin_then_emission_order(self):
+        plane = EvidencePlane(
+            mode="async", latency_model=FixedLatency(5.0), loss=0.0,
+            repair="retransmit", retransmit_timeout=1.0,
+        )
+        for name in ("a", "b", "r"):
+            plane.register_peer(CommunityPeer(name))
+        plane.submit_records("r", [_record()], sender_id="b")
+        plane.request_witness_reports("b", ["r"], ["a"])
+        plane.submit_records("r", [_record()], sender_id="a")
+        plane.submit_records("r", [_record()], sender_id="b")
+        resent = []
+        plane.resend_entry = resent.append
+        plane.advance(2.0)
+        assert [(entry.origin_id, entry.seq, entry.transient) for entry in resent] == [
+            ("a", 1, False), ("b", 1, False), ("b", 1, True), ("b", 2, False),
+        ]
+
+    def test_drained_partition_heal_journals_are_dense(self):
+        # Witness traffic takes no journaled seq, so across all journals
+        # each origin's seqs form the dense range 1..n: every hole a single
+        # journal still shows is an entry some other holder has.
+        scenario = build_scenario("partition-heal", size=20, rounds=12, seed=0)
+        simulation = scenario.simulation(TrustAwareStrategy())
+        simulation.run()
+        plane = simulation.evidence_plane
+        plane.drain(max_ticks=200)
+        assert plane.counters.missing_entries == 0
+        known = {}
+        for journal in plane.journals.values():
+            for origin, seq in journal.keys():
+                known.setdefault(origin, set()).add(seq)
+        assert known
+        for seqs in known.values():
+            assert seqs == set(range(1, len(seqs) + 1))
+        extras = sum(
+            len(extras)
+            for journal in plane.journals.values()
+            for _, extras in journal.digest().values()
+        )
+        contiguous = sum(
+            contiguous
+            for journal in plane.journals.values()
+            for contiguous, _ in journal.digest().values()
+        )
+        assert extras * 100 < contiguous
+
+    def test_retransmit_with_witnesses_recovers_every_entry(self):
+        scenario = build_registered_scenario(
+            "p2p-file-trading", size=30, rounds=10, seed=3,
+            evidence_mode="async", evidence_loss=0.2,
+            evidence_repair="retransmit", witness_count=2,
+        )
+        simulation = scenario.simulation()
+        trail = EvidenceAuditTrail()
+        plane = simulation.evidence_plane
+        plane.attach_audit(trail)
+        simulation.run()
+        plane.drain(max_ticks=200)
+        assert plane.counters.missing_entries == 0
+        assert plane.effective_delivery_ratio == 1.0
+        assert not plane._seen_transient & plane._applied
+        report = reconcile(
+            trail,
+            require_settled=True,
+            **collect_audit_inputs(simulation, store=scenario.complaint_store),
+        )
+        assert report.passed, report.render()
 
 
 class TestPolicyFactory:
